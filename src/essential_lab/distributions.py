@@ -16,7 +16,9 @@ independence-proposal Metropolis-Hastings chain for box targets.
 Every sampler takes an explicit ``numpy.random.Generator``.  For
 scheduling-independent parallel runs, derive one generator per sample
 index with :func:`rng_for`, which keys a counter-based Philox stream by
-``(seed, index)``.
+``(seed, index)``.  The three linear-space samplers also take a sequence
+of such generators and then return one stacked instance per generator,
+as arrays: each instance gets exactly the draws it gets alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ChartSingularity, RankDeficient
 from .geometry import E0, EssentialMatrix, ProjectivePoint2, Rotation
-from .solver import LinearSpace
+from .solver import LinearSpace, nullspace_basis
 
 VOL_RP2 = 2.0 * np.pi   # Riemannian area of the projective plane
 
@@ -121,11 +123,50 @@ def _rp2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     return v * signs[:, None]
 
 
-def sample_unifG(rng: np.random.Generator) -> LinearSpace:
-    """Rotation-invariant random linear space: i.i.d. Gaussian rows."""
+def _unit(v: np.ndarray) -> np.ndarray:
+    """3-vectors (..., 3) scaled to unit length, rounded as ProjectivePoint2 rounds."""
+    return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+
+
+def _pair_rows(points: np.ndarray) -> np.ndarray:
+    """Rows vec(u_i v_i^T) (..., 5, 9) of points (..., 10, 3) ordered u1, v1, ..., u5, v5."""
+    u, v = points[..., 0::2, :], points[..., 1::2, :]
+    return (u[..., :, None] * v[..., None, :]).reshape(points.shape[:-2] + (5, 9))
+
+
+def _stack(rngs, draw, redraw):
+    """One draw of rows from each generator, rank-checked together.
+
+    Returns the rows (N, 5, 9) and their kernel bases (N, 4, 9) from one
+    SVD per instance.  A rank-deficient draw is replaced by ``redraw`` of
+    its own generator, a function returning a :class:`LinearSpace`.
+    """
+    rows = np.stack([draw(rng) for rng in rngs])
+    basis = nullspace_basis(rows)
+    for i in np.flatnonzero(np.isnan(basis[:, 0, 0])):
+        space = redraw(rngs[i])
+        rows[i], basis[i] = space.rows, space.basis
+    return rows, basis
+
+
+def _gaussian_rows(rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((5, 9))
+
+
+def sample_unifG(rng):
+    """Rotation-invariant random linear space: i.i.d. Gaussian rows.
+
+    Given one generator, returns a :class:`LinearSpace`.  Given a sequence
+    of generators, draws one space from each and returns their rows
+    (N, 5, 9) with kernel bases (N, 4, 9), building no per-instance
+    objects.  Either way a rank-deficient draw is redrawn from the same
+    generator.
+    """
+    if not isinstance(rng, np.random.Generator):
+        return _stack(rng, _gaussian_rows, sample_unifG)
     while True:
         try:
-            return LinearSpace(rng.standard_normal((5, 9)))
+            return LinearSpace(_gaussian_rows(rng))
         except RankDeficient:  # pragma: no cover - probability zero
             continue
 
@@ -134,38 +175,57 @@ def linear_space_from_correspondences(corr: Correspondences5) -> LinearSpace:
     """Linear space with rows vec(u_i v_i^T), so row . vec(E) = u_i^T E v_i."""
     if not isinstance(corr, Correspondences5):
         corr = Correspondences5(tuple(corr))
-    rows = np.stack([np.outer(u.v, v.v).ravel() for u, v in corr.pairs])
-    return LinearSpace(rows)
+    return LinearSpace(_pair_rows(np.array([p.v for pair in corr.pairs for p in pair])))
 
 
-def sample_psi(rng: np.random.Generator):
-    """Five correspondences of i.i.d. uniform projective points, plus the space."""
+def _correspondences(points: np.ndarray) -> Correspondences5:
+    return Correspondences5(tuple((points[2 * i], points[2 * i + 1]) for i in range(5)))
+
+
+def sample_psi(rng):
+    """Five correspondences of i.i.d. uniform projective points, plus the space.
+
+    Given a sequence of generators, draws one instance from each and
+    returns rows and kernel bases as :func:`sample_unifG` does.
+    """
+    if not isinstance(rng, np.random.Generator):
+        return _stack(rng, lambda g: _pair_rows(_unit(_rp2_batch(g, 10))),
+                      lambda g: sample_psi(g)[1])
     while True:
-        pts = _rp2_batch(rng, 10)
-        corr = Correspondences5(tuple((pts[2 * i], pts[2 * i + 1]) for i in range(5)))
+        corr = _correspondences(_rp2_batch(rng, 10))
         try:
             return corr, linear_space_from_correspondences(corr)
         except RankDeficient:  # pragma: no cover - probability zero
             continue
 
 
-def sample_box(rng: np.random.Generator, boxes):
+def _rank_deficient(rng):
+    raise RankDeficient("rows are numerically rank deficient")
+
+
+def sample_box(rng, boxes):
     """Correspondences uniform in pixel boxes, embedded as [y1 : y2 : 1].
 
     ``boxes`` holds ten :class:`BoxSpec` (or 4-tuples), ordered
     u1, v1, u2, v2, ..., u5, v5.  Representatives have positive third
     coordinate.  Rank deficiency (possible for degenerate boxes) is
-    propagated, not resampled.
+    propagated, not resampled.  Given a sequence of generators, draws one
+    instance from each and returns rows and kernel bases as
+    :func:`sample_unifG` does.
     """
     boxes = [b if isinstance(b, BoxSpec) else BoxSpec(*b) for b in boxes]
     if len(boxes) != 10:
         raise ValueError("need ten boxes (u and v for each of five pairs)")
-    pts = []
-    for box in boxes:
-        y1 = rng.uniform(box.a, box.b)
-        y2 = rng.uniform(box.c, box.d)
-        pts.append(ProjectivePoint2(np.array([y1, y2, 1.0])))
-    corr = Correspondences5(tuple((pts[2 * i], pts[2 * i + 1]) for i in range(5)))
+    low = np.array([(b.a, b.c) for b in boxes]).ravel()
+    high = np.array([(b.b, b.d) for b in boxes]).ravel()
+
+    def points(g):
+        y = g.uniform(low, high).reshape(10, 2)
+        return np.concatenate([y, np.ones((10, 1))], axis=1)
+
+    if not isinstance(rng, np.random.Generator):
+        return _stack(rng, lambda g: _pair_rows(_unit(points(g))), _rank_deficient)
+    corr = _correspondences(points(rng))
     return corr, linear_space_from_correspondences(corr)
 
 

@@ -50,18 +50,19 @@ def cross_matrix(t: np.ndarray) -> np.ndarray:
 
 
 def demazure_residuals(e: np.ndarray) -> np.ndarray:
-    """The ten cubic residuals of a 3x3 matrix.
+    """The ten cubic residuals of a 3x3 matrix, or of each in a stack (..., 3, 3).
 
     Component 0 is ``det(e)``; components 1..9 are the entries of
     ``2 e e^T e - tr(e e^T) e`` in row-major order.  All ten vanish exactly
     on the cone over the essential variety.
     """
     e = np.asarray(e, dtype=float)
-    eet = e @ e.T
-    mat = 2.0 * (eet @ e) - np.trace(eet) * e
-    out = np.empty(10)
-    out[0] = np.linalg.det(e)
-    out[1:] = mat.ravel()
+    eet = e @ np.swapaxes(e, -1, -2)
+    tr = np.trace(eet, axis1=-2, axis2=-1)[..., None, None]
+    mat = 2.0 * (eet @ e) - tr * e
+    out = np.empty(e.shape[:-2] + (10,))
+    out[..., 0] = np.linalg.det(e)
+    out[..., 1:] = mat.reshape(e.shape[:-2] + (9,))
     return out
 
 

@@ -6,8 +6,15 @@ The pipeline below parametrizes the 4-dimensional nullspace of the linear
 equations, expands the ten cubic equations of the variety over that chart,
 performs a Gauss-Jordan reduction to a 10x10 multiplication ("action")
 matrix, reads candidate solutions off its eigenvectors, and validates the
-real ones by Gauss-Newton refinement.  Ten complex solutions exist for
-generic input, so the real count is an even number between 0 and 10.
+real ones, refining by Gauss-Newton those that the eigenvectors give too
+coarsely.  Ten complex solutions exist for generic input, so the real count
+is an even number between 0 and 10.
+
+Every stage takes a stack of instances along leading axes, and
+:func:`solve_batch` runs a whole stack through them at once;
+:func:`solve_five_point` is its one-instance case.  A stage given a single
+instance raises on failure, while in a stack the failed instances come
+back as NaN and take the retry path on their own.
 
 The module also counts real roots of determinant pencils ``det(s*A + t*B)``
 of 3x3 matrices, used for the rank-two (uncalibrated-camera) average.
@@ -26,7 +33,7 @@ from .errors import (
     EliminationFailed,
     RankDeficient,
 )
-from .geometry import EssentialMatrix
+from .geometry import TOL_INVARIANT, EssentialMatrix, demazure_residuals
 
 REAL_IMAG_TOL = 1e-6      # |Im| threshold before refinement
 ACCEPT_RESIDUAL = 1e-8    # max residual after refinement
@@ -62,10 +69,9 @@ def _product_tensor(left_exps, right_exps, target_exps):
 _P2 = _product_tensor(_LIN_EXPS, _LIN_EXPS, _QUAD_EXPS)     # lin*lin -> quad
 _P3 = _product_tensor(_QUAD_EXPS, _LIN_EXPS, _CUB_EXPS)     # quad*lin -> cubic
 _P2_FLAT = _P2.reshape(10, 16).T.copy()                     # (4*4, 10)
-_P3_FLAT = _P3.reshape(20, 40).T.copy()                     # (10*4, 20)
-
-_DET_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0))
-_DET_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+_P3_CQT = _P3.transpose(2, 1, 0).copy()                     # (4, 10, 20)
+_P33_FLAT = np.einsum("tqc,qab->abct", _P3, _P2).reshape(64, 20)  # lin*lin*lin -> cubic
+_LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3)[None]).reshape(9, 3)  # (j k, i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,24 +79,26 @@ class LinearSpace:
     """Five linear functionals on 3x3 matrices (row-major vectorization).
 
     The row span must have numerical rank 5: the smallest singular value
-    has to be at least 1e-10 times the largest.
+    has to exceed 1e-10 times the largest.  The SVD that checks it also
+    gives ``basis``, an orthonormal basis (4x9) of the common kernel.
     """
 
     rows: np.ndarray
     rows_unit: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
         if rows.shape != (5, 9) or not np.all(np.isfinite(rows)):
             raise RankDeficient("need a finite 5x9 coefficient matrix")
-        svals = np.linalg.svd(rows, compute_uv=False)
-        if svals[-1] < 1e-10 * svals[0]:
-            raise RankDeficient("rows are numerically rank deficient")
+        basis = nullspace_basis(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         unit.setflags(write=False)
         object.__setattr__(self, "rows_unit", unit)
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
 
 
 @dataclass(frozen=True)
@@ -113,51 +121,81 @@ class CountResult:
         return self.status == "failed"
 
 
-def nullspace_basis(space: LinearSpace) -> np.ndarray:
-    """Orthonormal basis (4x9) of the common kernel of the five rows."""
-    if not isinstance(space, LinearSpace):
-        space = LinearSpace(np.asarray(space))
-    _, _, vt = np.linalg.svd(space.rows)
-    return vt[5:]
+class CountResults(tuple):
+    """The :class:`CountResult` of every instance of a stack, in stack order.
+
+    Read as one result, as code written for a single instance reads it
+    (perfbench's span recorder does), a stack is ``failed`` when every
+    instance failed, and its ``real_count`` totals the other instances.
+    """
+
+    @property
+    def failed(self) -> bool:
+        return all(result.failed for result in self)
+
+    @property
+    def real_count(self) -> int:
+        return sum(result.real_count for result in self if not result.failed)
+
+
+def nullspace_basis(space) -> np.ndarray:
+    """Orthonormal basis (4x9) of the common kernel of the five rows.
+
+    ``space`` is a :class:`LinearSpace`, which carries its basis, or rows
+    (..., 5, 9); one SVD per instance gives both the rank check and the
+    basis.  In a stack, an instance whose rows are not finite or not of
+    numerical rank 5 gets a NaN basis; a single one raises RankDeficient.
+    """
+    if isinstance(space, LinearSpace):
+        return space.basis
+    rows = np.asarray(space, dtype=float)
+    if rows.shape[-2:] != (5, 9):
+        raise RankDeficient("need 5x9 coefficient matrices")
+    finite = np.all(np.isfinite(rows), axis=(-2, -1))
+    _, svals, vt = np.linalg.svd(np.where(finite[..., None, None], rows, 0.0))
+    full_rank = finite & (svals[..., -1] > 1e-10 * svals[..., 0])
+    if rows.ndim == 2 and not full_rank:
+        raise RankDeficient("rows are numerically rank deficient")
+    return np.where(full_rank[..., None, None], vt[..., 5:, :], np.nan)
 
 
 def build_constraint_matrix(basis) -> np.ndarray:
     """Coefficients of the ten cubic equations over the nullspace chart.
 
     ``basis`` holds four independent 9-vectors E1..E4 (rows of a 4x9
-    array).  Row k of the result holds the coefficients of the k-th cubic
-    residual of ``E(x,y,z) = x*E1 + y*E2 + z*E3 + E4`` over the fixed
-    degree-3 monomial basis (row 0 is the determinant, rows 1..9 the
-    matrix equation).
+    array, or of each 4x9 block of a stack).  Row k of the result holds
+    the coefficients of the k-th cubic residual of
+    ``E(x,y,z) = x*E1 + y*E2 + z*E3 + E4`` over the fixed degree-3 monomial
+    basis (row 0 is the determinant, rows 1..9 the matrix equation).
     """
     basis = np.asarray(basis, dtype=float)
-    # lin[i, j, :] = coefficients of entry (i, j) over [x, y, z, 1]
-    lin = basis.reshape(4, 3, 3).transpose(1, 2, 0)
+    lin = basis.reshape(-1, 4, 3, 3)             # lin[n, a, i, j]: entry (i, j) of E_a
+    n = lin.shape[0]
+
+    # Determinant: the trilinear form det(row 0 of E_a, row 1 of E_b, row 2 of E_c).
+    pairs = lin[:, :, None, 1, :, None] * lin[:, None, :, 2, None, :]        # (b, c, j, k)
+    cross = pairs.reshape(n, 16, 9) @ _LEVI_CIVITA                           # (b c, i)
+    det_row = (lin[:, :, 0] @ cross.transpose(0, 2, 1)).reshape(n, 1, 64) @ _P33_FLAT
+    del pairs, cross
 
     # E E^T entries as degree-2 polynomials, then trace.
-    outer = np.tensordot(lin, lin, axes=([1], [1]))          # (i, a, j, b)
-    quad = outer.transpose(0, 2, 1, 3).reshape(9, 16) @ _P2_FLAT
-    quad = quad.reshape(3, 3, 10)
-    tr = quad[0, 0] + quad[1, 1] + quad[2, 2]
+    rows = lin.reshape(n, 12, 3)
+    outer = (rows @ rows.transpose(0, 2, 1)).reshape(n, 4, 3, 4, 3)          # (a, i, b, k)
+    quad = outer.transpose(0, 2, 4, 1, 3).reshape(n, 9, 16) @ _P2_FLAT
+    quad = quad.reshape(n, 3, 3, 10)                                         # (i, k, q)
+    tr = quad[:, 0, 0] + quad[:, 1, 1] + quad[:, 2, 2]
+    del outer
 
-    # 2 E E^T E - tr(E E^T) E, entrywise degree 3.
-    prod = np.tensordot(quad, lin, axes=([1], [0]))          # (i, q, j, a)
-    cub_eete = prod.transpose(0, 2, 1, 3).reshape(9, 40) @ _P3_FLAT
-    cub_tre = (tr[None, :, None] * lin.reshape(9, 1, 4)).reshape(9, 40) @ _P3_FLAT
-    mat_rows = 2.0 * cub_eete - cub_tre
+    # 2 E E^T E - tr(E E^T) E, entrywise degree 3; the trace term is
+    # multiplied into the cubic basis before it meets E.
+    cols = lin.transpose(0, 3, 1, 2).reshape(n, 1, 12, 3)                  # (l c, k)
+    eete = (cols @ quad).reshape(n, 9, 40)                                   # (i l, c q)
+    tr_cubic = (tr[:, None, None] @ _P3_CQT)[:, :, 0]                        # (c, t)
+    entries = lin.transpose(0, 2, 3, 1).reshape(n, 9, 4)                     # (i l, c)
+    mat_rows = 2.0 * (eete @ _P3_CQT.reshape(40, 20)) - entries @ tr_cubic
 
-    # Determinant via signed permutation products.
-    first = lin[0, [p[0] for p in _DET_PERMS]]               # (6, 4)
-    second = lin[1, [p[1] for p in _DET_PERMS]]
-    third = lin[2, [p[2] for p in _DET_PERMS]]
-    pair = (first[:, :, None] * second[:, None, :]).reshape(6, 16) @ _P2_FLAT
-    terms = (pair[:, :, None] * third[:, None, :]).reshape(6, 40) @ _P3_FLAT
-    det_row = _DET_SIGNS @ terms
-
-    out = np.empty((10, 20))
-    out[0] = det_row
-    out[1:] = mat_rows
-    return out
+    out = np.concatenate([det_row, mat_rows], axis=1)
+    return out.reshape(basis.shape[:-2] + (10, 20))
 
 
 def action_matrix(m: np.ndarray) -> np.ndarray:
@@ -167,28 +205,32 @@ def action_matrix(m: np.ndarray) -> np.ndarray:
     left block is indexed by the ten degree-3 monomials) and assembles the
     10x10 matrix of multiplication by x on the quotient basis
     [x^2, xy, xz, y^2, yz, z^2, x, y, z, 1]: products that leave the basis
-    are rewritten through B, the rest are basis inclusions.
+    are rewritten through B, the rest are basis inclusions.  A left block
+    with condition number beyond 1e12 fails the elimination.
     """
     m = np.asarray(m, dtype=float)
-    block = m[:, :10]
-    svals = np.linalg.svd(block, compute_uv=False)
-    if svals[-1] <= svals[0] / COND_LIMIT:
+    block = m[..., :10]
+    finite = np.all(np.isfinite(m), axis=(-2, -1))
+    svals = np.linalg.svd(np.where(finite[..., None, None], block, 0.0), compute_uv=False)
+    ok = finite & (svals[..., -1] > svals[..., 0] / COND_LIMIT)
+    if m.ndim == 2 and not ok:
         raise EliminationFailed("leading 10x10 block is too ill-conditioned")
-    reduced = np.linalg.solve(block, m[:, 10:])
+    reduced = np.linalg.solve(np.where(ok[..., None, None], block, np.eye(10)), m[..., 10:])
 
-    t = np.zeros((10, 10))
+    t = np.zeros(m.shape[:-2] + (10, 10))
     # x * {x^2, xy, xz, y^2, yz, z^2} = {x^3, x^2y, x^2z, xy^2, xyz, xz^2}
-    t[:, :6] = -reduced[:6].T
-    t[0, 6] = 1.0   # x * x = x^2
-    t[1, 7] = 1.0   # x * y = xy
-    t[2, 8] = 1.0   # x * z = xz
-    t[6, 9] = 1.0   # x * 1 = x
+    t[..., :6] = -np.swapaxes(reduced[..., :6, :], -1, -2)
+    t[..., 0, 6] = 1.0   # x * x = x^2
+    t[..., 1, 7] = 1.0   # x * y = xy
+    t[..., 2, 8] = 1.0   # x * z = xz
+    t[..., 6, 9] = 1.0   # x * 1 = x
+    t[~ok] = np.nan
     return t
 
 
 class EigenCandidates(NamedTuple):
-    values: np.ndarray    # 10 complex eigenvalues
-    triples: np.ndarray   # (10, 3) complex (x, y, z) read off the eigenvectors
+    values: np.ndarray    # ten complex eigenvalues per action matrix, matrix after matrix
+    triples: np.ndarray   # (10 per matrix, 3) complex (x, y, z) read off the eigenvectors
 
 
 def eigen_candidates(t: np.ndarray) -> EigenCandidates:
@@ -198,16 +240,30 @@ def eigen_candidates(t: np.ndarray) -> EigenCandidates:
     multiplication operator, so the monomial vectors are eigenvectors of
     the transpose; (x, y, z) are the coordinate ratios of the monomials
     x, y, z against the monomial 1.  Complex candidates come in conjugate
-    pairs.
+    pairs.  The candidates of a stack of matrices are listed matrix after
+    matrix, ten each; those of a matrix that is NaN or whose
+    eigen-iteration did not converge are NaN.
     """
     t = np.asarray(t, dtype=float)
-    try:
-        values, vectors = np.linalg.eig(t.T)
-    except np.linalg.LinAlgError as exc:
-        raise EigenNoConvergence(str(exc)) from exc
+    stack = t.reshape(-1, 10, 10)
+    values = np.full((stack.shape[0], 10), np.nan, dtype=complex)
+    vectors = np.full((stack.shape[0], 10, 10), np.nan, dtype=complex)
+    finite = np.flatnonzero(np.all(np.isfinite(stack), axis=(1, 2)))
+    if finite.size:
+        try:
+            values[finite], vectors[finite] = np.linalg.eig(np.swapaxes(stack[finite], 1, 2))
+        except np.linalg.LinAlgError:
+            # A stacked call fails as a whole: find the matrices that failed.
+            for i in finite:
+                try:
+                    values[i], vectors[i] = np.linalg.eig(stack[i].T)
+                except np.linalg.LinAlgError:
+                    pass
+    if t.ndim == 2 and np.isnan(values).any():
+        raise EigenNoConvergence("eigenvalue iteration did not converge")
     with np.errstate(divide="ignore", invalid="ignore"):
-        triples = (vectors[6:9] / vectors[9]).T
-    return EigenCandidates(values, triples)
+        triples = np.swapaxes(vectors[:, 6:9] / vectors[:, 9:10], 1, 2)
+    return EigenCandidates(values.reshape(-1), triples.reshape(-1, 3))
 
 
 def _haar_o4(rng: np.random.Generator) -> np.ndarray:
@@ -236,14 +292,18 @@ def _monomials_and_gradients(w: np.ndarray):
 def _refine_on_chart(w: np.ndarray, constraint: np.ndarray, iters: int = 10):
     """Gauss-Newton on the ten cubic residuals over the chart coordinates.
 
-    The five linear residuals vanish identically on the chart, so this is
-    the 15-residual refinement restricted to the solution chart.
+    ``w`` (k, 3) holds chart points, each with its own constraint matrix
+    in ``constraint`` (k, 10, 20).  The five linear residuals vanish
+    identically on the chart, so this is the 15-residual refinement
+    restricted to the solution chart.  A point stops once its residuals
+    fall below 1e-13.
     """
     w = w.copy()
     for _ in range(iters):
         mon, grad = _monomials_and_gradients(w)
-        r = mon @ constraint.T                      # (k, 10)
-        if np.max(np.abs(r), initial=0.0) < 1e-13:
+        r = (constraint @ mon[..., None])[..., 0]
+        live = np.max(np.abs(r), axis=1) >= 1e-13
+        if not live.any():
             break
         j = constraint @ grad                       # (k, 10, 3)
         jt = j.transpose(0, 2, 1)
@@ -254,118 +314,173 @@ def _refine_on_chart(w: np.ndarray, constraint: np.ndarray, iters: int = 10):
             step = np.linalg.solve(h, g)[..., 0]
         except np.linalg.LinAlgError:
             step = (np.linalg.pinv(h) @ g)[..., 0]
-        bad = ~np.all(np.isfinite(step), axis=1)
-        step[bad] = 0.0
+        step[~live | ~np.all(np.isfinite(step), axis=1)] = 0.0
         w -= step
     return w
 
 
-def _batch_demazure(mats: np.ndarray) -> np.ndarray:
-    """Stacked version of :func:`essential_lab.geometry.demazure_residuals`."""
-    eet = mats @ mats.transpose(0, 2, 1)
-    tr = np.trace(eet, axis1=1, axis2=2)
-    cubic = 2.0 * (eet @ mats) - tr[:, None, None] * mats
-    out = np.empty((mats.shape[0], 10))
-    out[:, 0] = np.linalg.det(mats)
-    out[:, 1:] = cubic.reshape(-1, 9)
-    return out
+def _unit_residuals(w, basis, rows_unit):
+    """Unit solution vectors (..., 9) and acceptance residuals (...) at chart points.
+
+    ``w`` (..., 3) are chart coordinates over ``basis`` (..., 4, 9); the
+    residual is the largest of the five unit-row equations and of the ten
+    cubics of the half-trace-normalized matrix.  A point whose vector is
+    not finite or vanishes gets a zero vector and an infinite residual.
+    """
+    evecs = (w[..., None, :] @ basis[..., :3, :])[..., 0, :] + basis[..., 3, :]
+    norms = np.linalg.norm(evecs, axis=-1)
+    ok = np.isfinite(norms) & (norms > 1e-12)
+    units = np.where(ok[..., None], evecs / np.where(ok, norms, 1.0)[..., None], 0.0)
+    linear = np.max(np.abs(units[..., None, :] @ np.swapaxes(rows_unit, -1, -2)), axis=(-2, -1))
+    mats = (units * np.sqrt(2.0)).reshape(units.shape[:-1] + (3, 3))
+    cubic = np.max(np.abs(demazure_residuals(mats)), axis=-1)
+    return units, np.where(ok, np.maximum(linear, cubic), np.inf)
 
 
-def validate_and_count(candidates, space: LinearSpace, basis, constraint=None,
-                       retries: int = 0) -> CountResult:
+def _essential(unit: np.ndarray, residual: float) -> EssentialMatrix:
+    mat = (unit * np.sqrt(2.0)).reshape(3, 3)    # half-trace norm 1
+    if residual <= TOL_INVARIANT:
+        return EssentialMatrix.trusted(mat, residual)
+    return EssentialMatrix(mat)
+
+
+def validate_and_count(candidates, space, basis, constraint=None, retries=0):
     """Filter, refine and deduplicate candidate solutions.
 
-    Keeps candidates whose imaginary parts are below 1e-6, refines them by
-    Gauss-Newton, and accepts a solution when the unit-normalized matrix
-    satisfies the five (unit-row) linear equations and the ten cubics to
-    1e-8.  Duplicates closer than 1e-6 in the projective metric are merged.
-    An odd surviving count is reported as status "failed" with reason
-    "parity" so the caller can re-randomize the chart and retry.
+    Keeps candidates whose imaginary parts are below 1e-6 and accepts a
+    solution when the unit-normalized matrix satisfies the five (unit-row)
+    linear equations and the ten cubics to 1e-8; only a candidate that
+    misses 1e-9 before is refined by Gauss-Newton first.  Duplicates
+    closer than 1e-6 in the projective metric are merged, in candidate
+    order.  An odd surviving count is reported as status "failed" with
+    reason "parity" so the caller can re-randomize the chart and retry.
+
+    For a stack, ``basis`` is (N, 4, 9), ``space`` holds the rows
+    (N, 5, 9), the candidates are split evenly among the instances, and
+    ``retries`` may give one count per instance; the result is a
+    :class:`CountResults`.  An instance whose eigenvalues are NaN (its
+    elimination or eigen-iteration failed) fails with reason "elimination".
     """
-    triples = np.asarray(candidates.triples if isinstance(candidates, EigenCandidates)
-                         else candidates, dtype=complex).reshape(-1, 3)
     basis = np.asarray(basis, dtype=float)
+    charts = basis.reshape(-1, 4, 9)
+    n = charts.shape[0]
+    if isinstance(candidates, EigenCandidates):
+        triples = np.asarray(candidates.triples, dtype=complex).reshape(n, -1, 3)
+        broken = np.isnan(np.asarray(candidates.values)).reshape(n, -1).any(axis=1)
+    else:
+        triples = np.asarray(candidates, dtype=complex).reshape(n, -1, 3)
+        broken = np.zeros(n, dtype=bool)
+    if isinstance(space, LinearSpace):
+        rows_unit = space.rows_unit[None]
+    else:
+        rows = np.asarray(space, dtype=float)
+        rows_unit = (rows / np.linalg.norm(rows, axis=-1, keepdims=True)).reshape(n, 5, 9)
     if constraint is None:
-        constraint = build_constraint_matrix(basis)
+        constraint = build_constraint_matrix(charts)
+    constraint = np.asarray(constraint, dtype=float).reshape(n, 10, 20)
+    retries = np.broadcast_to(np.asarray(retries, dtype=np.int64), (n,))
 
-    finite = np.all(np.isfinite(triples), axis=1)
-    realish = finite & (np.max(np.abs(triples.imag), axis=1) <= REAL_IMAG_TOL)
-    w = triples.real[realish]
+    finite = np.all(np.isfinite(triples), axis=2)
+    realish = finite & (np.max(np.abs(triples.imag), axis=2) <= REAL_IMAG_TOL)
+    w = np.where(realish[..., None], triples.real, 0.0)
+    units, residuals = _unit_residuals(w, charts[:, None], rows_unit[:, None])
+    redo = np.nonzero(realish & ~(residuals <= TOL_INVARIANT))
+    if redo[0].size:
+        owner = redo[0]
+        refined = _refine_on_chart(w[redo], constraint[owner])
+        units[redo], residuals[redo] = _unit_residuals(refined, charts[owner], rows_unit[owner])
 
-    solutions = []
-    vectors = []
-    residual_max = 0.0
-    if w.shape[0]:
-        w = _refine_on_chart(w, constraint)
-        coords = np.concatenate([w, np.ones((w.shape[0], 1))], axis=1)
-        evecs = coords @ basis                          # (k, 9)
-        norms = np.linalg.norm(evecs, axis=1)
-        keepers = np.isfinite(norms) & (norms > 1e-12)
-        units = evecs[keepers] / norms[keepers, None]
-        mats = (units * np.sqrt(2.0)).reshape(-1, 3, 3)  # half-trace norm 1
-        residuals = np.maximum(
-            np.max(np.abs(units @ space.rows_unit.T), axis=1),
-            np.max(np.abs(_batch_demazure(mats)), axis=1),
-        )
-        for unit, mat, res in zip(units, mats, residuals):
-            if res > ACCEPT_RESIDUAL:
-                continue
-            duplicate = any(
-                min(np.linalg.norm(unit - p), np.linalg.norm(unit + p)) <= DEDUP_TOL
-                for p in vectors
-            )
-            if duplicate:
-                continue
-            vectors.append(unit)
-            if res <= 1e-9:
-                solutions.append(EssentialMatrix.trusted(mat, res))
+    kept = realish & (residuals <= ACCEPT_RESIDUAL)
+    # Only instances with two accepted candidates near +-parallel (|cos| above
+    # 1 - 1e-10, far looser than DEDUP_TOL) can hold duplicates.
+    near = np.abs(units @ np.swapaxes(units, 1, 2)) > 1.0 - 1e-10
+    near &= kept[:, :, None] & kept[:, None, :]
+    near[:, np.arange(near.shape[1]), np.arange(near.shape[1])] = False
+    for i in np.flatnonzero(near.any(axis=(1, 2))):
+        vectors = []
+        for j in np.flatnonzero(kept[i]):
+            unit = units[i, j]
+            if any(min(np.linalg.norm(unit - p), np.linalg.norm(unit + p)) <= DEDUP_TOL
+                   for p in vectors):
+                kept[i, j] = False
             else:
-                solutions.append(EssentialMatrix(mat))
-            residual_max = max(residual_max, res)
+                vectors.append(unit)
+    counts = kept.sum(axis=1)
+    residual_max = np.max(np.where(kept, residuals, 0.0), axis=1, initial=0.0)
 
-    count = len(solutions)
-    if count % 2:
-        return CountResult(count, (), "failed", retries, "parity", residual_max)
-    status = "retried" if retries else "ok"
-    return CountResult(count, tuple(solutions), status, retries, "", residual_max)
+    results = []
+    for i in range(n):
+        tries = int(retries[i])
+        if broken[i]:
+            results.append(CountResult(0, (), "failed", tries, "elimination", 0.0))
+        elif counts[i] % 2:
+            results.append(CountResult(int(counts[i]), (), "failed", tries, "parity",
+                                       float(residual_max[i])))
+        else:
+            solutions = tuple(_essential(units[i, j], residuals[i, j])
+                              for j in np.flatnonzero(kept[i]))
+            results.append(CountResult(len(solutions), solutions,
+                                       "retried" if tries else "ok", tries, "",
+                                       float(residual_max[i])))
+    return results[0] if basis.ndim == 2 else CountResults(results)
+
+
+def solve_batch(rows, basis, rngs, retries: int = 5) -> CountResults:
+    """Solve a stack of instances together, one :class:`CountResult` each.
+
+    ``rows`` (N, 5, 9) have numerical rank 5 and ``basis`` (N, 4, 9) holds
+    their kernel bases, as :func:`nullspace_basis` gives them.  Every stage
+    runs on the whole stack.  An instance whose elimination or
+    eigen-iteration fails is recombined by a random orthogonal 4x4 mixing
+    of its basis (a new chart) drawn from its own generator ``rngs[i]``,
+    up to ``retries`` times; a parity failure earns one extra
+    re-randomized attempt.  The instances that need a new chart rerun the
+    stages together, so each instance gets the count, status and retries
+    it gets alone.
+    """
+    rows = np.asarray(rows, dtype=float)
+    basis = np.asarray(basis, dtype=float)
+    n = basis.shape[0]
+    charts = basis.copy()
+    mixes = np.zeros(n, dtype=np.int64)
+    parity_used = np.zeros(n, dtype=bool)
+    results = [None] * n
+    todo = np.arange(n)
+    while todo.size:
+        constraint = build_constraint_matrix(charts[todo])
+        counted = validate_and_count(eigen_candidates(action_matrix(constraint)),
+                                     rows[todo], charts[todo], constraint,
+                                     retries=mixes[todo])
+        again = []
+        for i, result in zip(todo, counted):
+            if not result.failed:
+                results[i] = result
+                continue
+            parity = result.reason == "parity"
+            if mixes[i] >= retries or (parity and parity_used[i]):
+                results[i] = CountResult(0, (), "failed", int(mixes[i]), result.reason, 0.0)
+                continue
+            parity_used[i] |= parity
+            mixes[i] += 1
+            charts[i] = _haar_o4(rngs[i]) @ basis[i]
+            again.append(i)
+        todo = np.array(again, dtype=np.int64)
+    return CountResults(results)
 
 
 def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountResult:
-    """Full solve: nullspace chart, action matrix, eigen candidates, validation.
+    """Full solve of one instance: :func:`solve_batch` on a stack of one.
 
-    On elimination or eigen-iteration failure the nullspace basis is
-    recombined by a random orthogonal 4x4 mixing (a new chart) and the
-    solve is retried, up to ``retries`` times; a parity failure earns one
-    extra re-randomized attempt.  Deterministic for a fixed ``rng`` seed.
+    Nullspace chart, action matrix, eigen candidates, validation; on
+    elimination or eigen-iteration failure the solve is retried on a new
+    chart, up to ``retries`` times, and a parity failure earns one extra
+    re-randomized attempt.  Deterministic for a fixed ``rng`` seed.
     """
     if not isinstance(space, LinearSpace):
         space = LinearSpace(np.asarray(space))
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    basis0 = nullspace_basis(space)
-
-    mixes = 0
-    parity_used = False
-    last_reason = "elimination"
-    while True:
-        basis = basis0 if mixes == 0 else _haar_o4(rng) @ basis0
-        try:
-            constraint = build_constraint_matrix(basis)
-            op = action_matrix(constraint)
-            cands = eigen_candidates(op)
-        except (EliminationFailed, EigenNoConvergence):
-            if mixes >= retries:
-                return CountResult(0, (), "failed", mixes, "elimination", 0.0)
-            mixes += 1
-            continue
-        result = validate_and_count(cands, space, basis, constraint, retries=mixes)
-        if not result.failed:
-            return result
-        last_reason = result.reason
-        if parity_used or mixes >= retries:
-            return CountResult(0, (), "failed", mixes, last_reason, 0.0)
-        parity_used = True
-        mixes += 1
+    return solve_batch(space.rows[None], space.basis[None], [rng], retries)[0]
 
 
 def _pencil_coefficients(a: np.ndarray, b: np.ndarray):

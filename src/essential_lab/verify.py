@@ -190,7 +190,10 @@ def verify_nj_gamma(seed: int = 0, h: float = DEFAULT_STEP, tol: float = 1e-5,
 
 def verify_quadric_param_nj(samples: int = 50, seed: int = 0, h: float = DEFAULT_STEP,
                             tol: float = 1e-6) -> CheckReport:
-    """The quadric parametrization scales volume by sqrt(r^2 + s^2)."""
+    """The quadric parametrization scales volume by sqrt(r^2 + s^2).
+
+    The report's value and expected value are those of the first sample.
+    """
 
     def param(p):
         a, b, r, s, theta = p
@@ -199,7 +202,7 @@ def verify_quadric_param_nj(samples: int = 50, seed: int = 0, h: float = DEFAULT
 
     frame_out = list(np.eye(6))
     worst = 0.0
-    value = None
+    value = reference = None
     for index in range(samples):
         rng = dists.rng_for(seed, index)
         point = rng.standard_normal(5)
@@ -211,9 +214,9 @@ def verify_quadric_param_nj(samples: int = 50, seed: int = 0, h: float = DEFAULT
         ]
         got = finite_diff_normal_jacobian(param, curves, frame_out, h=h)
         if value is None:
-            value = got
+            value, reference = got, expected
         worst = max(worst, abs(got - expected))
-    report = CheckReport("nj_quadric_param", worst <= tol, value, float("nan"), worst, samples)
+    report = CheckReport("nj_quadric_param", worst <= tol, value, reference, worst, samples)
     if not report.passed:
         raise AssertionFailure(f"quadric parametrization Jacobian off by {worst:.3e}",
                                report.to_dict())
@@ -255,9 +258,12 @@ def incidence_jacobian_blocks(points: np.ndarray) -> np.ndarray:
 
 def verify_detAAT_identity(samples: int = 200, seed: int = 0,
                            tol: float = 1e-10) -> CheckReport:
-    """det(A A^T) equals the product of u2^2 + u3^2 + v2^2 + v3^2."""
+    """det(A A^T) equals the product of u2^2 + u3^2 + v2^2 + v3^2.
+
+    The report's value and expected value are those of the first sample.
+    """
     worst = 0.0
-    value = None
+    value = reference = None
     for index in range(samples):
         rng = dists.rng_for(seed, index)
         pts = rng.standard_normal((5, 2, 3))
@@ -268,20 +274,13 @@ def verify_detAAT_identity(samples: int = 200, seed: int = 0,
         ]))
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         if value is None:
-            value = lhs
+            value, reference = lhs, rhs
         worst = max(worst, rel)
-    report = CheckReport("det_AAT_identity", worst <= tol, value, float("nan"), worst, samples)
+    report = CheckReport("det_AAT_identity", worst <= tol, value, reference, worst, samples)
     if not report.passed:
         raise AssertionFailure(f"block determinant identity off by {worst:.3e}",
                                report.to_dict())
     return report
-
-
-def correspondence_matrix(points: np.ndarray) -> np.ndarray:
-    """5x5 matrix of tangent-basis pairings u_i^T B_j v_i."""
-    points = np.asarray(points, dtype=float).reshape(5, 2, 3)
-    basis = tangent_basis_E0()
-    return np.array([[u @ b @ v for b in basis] for u, v in points])
 
 
 def verify_detB_identity(n: int = 100_000, seed: int = 0) -> dict:

@@ -136,5 +136,17 @@ class TestVerifyCommand:
         assert checks["nj_rotation_action"]["value"] == pytest.approx(0.3535533905932738,
                                                                       abs=1e-5)
 
+    def test_all_suite_is_strict_json(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--suite", "all", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        data = json.loads(out.read_text(), parse_constant=reject)
+        for name, tol in (("det_AAT_identity", 1e-10), ("nj_quadric_param", 1e-6)):
+            check = data["checks"][name]
+            assert abs(check["value"] - check["expected"]) <= tol * abs(check["expected"])
+
     def test_bad_suite_flag(self):
         assert run_cli(["verify", "--suite", "everything"]) == 1

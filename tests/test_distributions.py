@@ -257,12 +257,15 @@ class TestUnifGInvariance:
         q *= np.sign(np.diag(r))
         n = unifg_100k.n
         hist = np.zeros(11, dtype=np.int64)
-        for index in range(n):
-            rng = dist.rng_for(unifg_100k.seed + 1_000_003, index)
-            space = sv.LinearSpace(rng.standard_normal((5, 9)) @ q)
-            result = sv.solve_five_point(space, rng=rng)
-            if not result.failed:
-                hist[result.real_count] += 1
+        for start in range(0, n, 1000):
+            rngs = [dist.rng_for(unifg_100k.seed + 1_000_003, index)
+                    for index in range(start, min(start + 1000, n))]
+            rows = np.stack([rng.standard_normal((5, 9)) @ q for rng in rngs])
+            basis = sv.nullspace_basis(rows)
+            assert not np.isnan(basis).any()
+            for result in sv.solve_batch(rows, basis, rngs):
+                if not result.failed:
+                    hist[result.real_count] += 1
         base = np.array(unifg_100k.histogram)[[0, 2, 4, 6, 8, 10]]
         rotated = hist[[0, 2, 4, 6, 8, 10]]
         table = np.stack([base, rotated])

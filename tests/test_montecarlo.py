@@ -72,6 +72,16 @@ class TestRunExperiment:
         assert report.mean == pytest.approx(recomputed, rel=1e-12)
         assert all(report.histogram[k] == 0 for k in (1, 3, 5, 7, 9))
 
+    def test_chebyshev_column_is_the_count_bound(self):
+        report = mc.run_experiment("psi", 600, seed=8)
+        solved = report.n - report.failures
+        counts = np.repeat(np.arange(11), report.histogram)
+        assert report.variance == pytest.approx(np.var(counts, ddof=1), rel=1e-12)
+        assert [eps for eps, _ in report.chebyshev] == [0.1, 0.05, 0.01]
+        for eps, bound in report.chebyshev:
+            expected = min(1.0, report.variance / (solved * eps * eps))
+            assert bound == pytest.approx(expected, rel=1e-12)
+
     def test_worker_counts_agree(self):
         one = mc.run_experiment("psi", 1100, seed=6, workers=1)
         four = mc.run_experiment("psi", 1100, seed=6, workers=4)

@@ -30,6 +30,10 @@ class TestLinearSpace:
         with pytest.raises(RankDeficient):
             sv.LinearSpace(np.zeros((4, 9)))
 
+    def test_zero_rows_are_rank_deficient(self):
+        with pytest.raises(RankDeficient):
+            sv.LinearSpace(np.zeros((5, 9)))
+
 
 class TestNullspaceBasis:
     def test_coordinate_kernel(self):
