@@ -91,8 +91,13 @@ class ZVector:
 
 
 def _rotations(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Stack of n Haar rotations: Gaussian matrices -> orthogonal factor."""
-    q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    """Stack of n Haar rotations drawn from ``rng``."""
+    return haar_rotations(rng.standard_normal((n, 3, 3)))
+
+
+def haar_rotations(gauss: np.ndarray) -> np.ndarray:
+    """Haar rotations from Gaussian matrices (n, 3, 3): det-corrected QR factor."""
+    q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
     flip = np.linalg.det(q) < 0
     q[flip, :, 2] *= -1.0
@@ -275,16 +280,15 @@ def sample_essential_uniform(rng: np.random.Generator):
 def quadric_param(a5: np.ndarray) -> np.ndarray:
     """Map (a, b, r, s, theta) per point to correspondence vectors.
 
-    Input shape (5, 5) (one row per correspondence); output (5, 2, 3)
-    with u = (a, r cos, r sin) and v = (b, s cos, s sin), which satisfy
-    u^T E0 v = 0 by construction.
+    Input shape (..., 5, 5) (one row per correspondence); output
+    (..., 5, 2, 3) with u = (a, r cos, r sin) and v = (b, s cos, s sin),
+    which satisfy u^T E0 v = 0 by construction.
     """
-    a5 = np.asarray(a5, dtype=float).reshape(5, 5)
-    a, b, r, s, theta = a5.T
+    a, b, r, s, theta = np.moveaxis(np.asarray(a5, dtype=float), -1, 0)
     cos, sin = np.cos(theta), np.sin(theta)
-    u = np.stack([a, r * cos, r * sin], axis=1)
-    v = np.stack([b, s * cos, s * sin], axis=1)
-    return np.stack([u, v], axis=1)
+    u = np.stack([a, r * cos, r * sin], axis=-1)
+    v = np.stack([b, s * cos, s * sin], axis=-1)
+    return np.stack([u, v], axis=-2)
 
 
 def box_weight(points: np.ndarray, boxes) -> float:
@@ -339,17 +343,18 @@ def mh_box_chain(rng: np.random.Generator, n: int, boxes, psi=None):
     witnesses U, V) and a fresh base draw of (a, b, r, s, theta) per
     correspondence; the target density over the proposal measure is
     ``psi`` evaluated on the rotated correspondences (default: the box
-    density).  Since proposals are independent, only the density values
-    enter the accept/reject scan.  Returns the accepted states (with
-    their first chain position and density) and the acceptance count.
+    density).  ``psi`` takes a stack (m, 5, 2, 3) and returns m densities.
+    Since proposals are independent, only the density values enter the
+    accept/reject scan, which visits the proposals of positive density in
+    order.  Returns the accepted states (with their first chain position
+    and density) and the acceptance count.
     """
     if psi is None:
         def psi(points):
-            return box_weight(points, boxes)
+            return _box_weights_batch(points, boxes)
 
     batch = 4096
     states = []          # (chain_index, points, density) of accepted proposals
-    accepted = 0
     current_density = 0.0
     produced = 0
     while produced < n:
@@ -358,24 +363,17 @@ def mh_box_chain(rng: np.random.Generator, n: int, boxes, psi=None):
         vs = _rotations(rng, m)
         base = rng.standard_normal((m, 5, 4))
         thetas = rng.uniform(0.0, 2.0 * np.pi, (m, 5))
-        for i in range(m):
-            a5 = np.concatenate([base[i], thetas[i][:, None]], axis=1)
-            pts = quadric_param(a5)
-            pts = np.stack([pts[:, 0] @ us[i].T, pts[:, 1] @ vs[i].T], axis=1)
-            density = psi(pts)
-            take = False
-            if density > 0.0:
-                if current_density == 0.0:
-                    take = True
-                else:
-                    ratio = density / current_density
-                    take = ratio >= 1.0 or rng.uniform() < ratio
-            elif current_density == 0.0:
-                # chain not yet started; stay unstarted
-                pass
-            if take:
-                states.append((produced + i, pts, density))
-                current_density = density
-                accepted += 1
+        pts = quadric_param(np.concatenate([base, thetas[..., None]], axis=2))
+        pts = np.stack([pts[:, :, 0] @ np.swapaxes(us, 1, 2),
+                        pts[:, :, 1] @ np.swapaxes(vs, 1, 2)], axis=2)
+        densities = np.asarray(psi(pts), dtype=float)
+        for i in np.flatnonzero(densities > 0.0):
+            density = float(densities[i])
+            if current_density > 0.0:
+                ratio = density / current_density
+                if not (ratio >= 1.0 or rng.uniform() < ratio):
+                    continue
+            states.append((produced + int(i), pts[i].copy(), density))
+            current_density = density
         produced += m
-    return states, accepted
+    return states, len(states)

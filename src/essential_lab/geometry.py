@@ -40,13 +40,16 @@ def half_trace_norm(a: np.ndarray) -> float:
 
 
 def cross_matrix(t: np.ndarray) -> np.ndarray:
-    """Skew matrix of the cross product: ``cross_matrix(t) @ x == cross(t, x)``."""
-    t1, t2, t3 = np.asarray(t, dtype=float)
-    return np.array([
-        [0.0, -t3, t2],
-        [t3, 0.0, -t1],
-        [-t2, t1, 0.0],
-    ])
+    """Skew matrix of the cross product: ``cross_matrix(t) @ x == cross(t, x)``.
+
+    Takes one vector or a stack (..., 3) and returns (..., 3, 3).
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -t[..., 2], t[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = t[..., 2], -t[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -t[..., 1], t[..., 0]
+    return out
 
 
 def demazure_residuals(e: np.ndarray) -> np.ndarray:

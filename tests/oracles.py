@@ -90,3 +90,66 @@ def planted_instance(rng: np.random.Generator):
 def projective_distance(vec_a: np.ndarray, vec_b: np.ndarray) -> float:
     """Distance of two projective points given by unit 9-vectors."""
     return min(np.linalg.norm(vec_a - vec_b), np.linalg.norm(vec_a + vec_b))
+
+
+def _haar_rotation(gauss: np.ndarray) -> np.ndarray:
+    """Haar rotation from one Gaussian 3x3 matrix: QR factor, sign- and det-fixed."""
+    q, r = np.linalg.qr(gauss)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 2] *= -1.0
+    return q
+
+
+def mh_box_chain_loop(rng: np.random.Generator, n: int, density, batch: int = 4096):
+    """The box-target Metropolis-Hastings chain, one proposal per iteration.
+
+    Draws what the library chain draws, batch by batch: U and V as Gaussian
+    3x3 stacks, then the base (a, b, r, s) and theta per correspondence.
+    Each proposal is then parametrized, rotated and weighed on its own by
+    ``density`` (a callable on one (5, 2, 3) tuple), and accepted or
+    rejected before the next.  Returns (position, points, density) per
+    accepted proposal.
+    """
+    states = []
+    current = 0.0
+    for start in range(0, n, batch):
+        m = min(batch, n - start)
+        us = rng.standard_normal((m, 3, 3))
+        vs = rng.standard_normal((m, 3, 3))
+        base = rng.standard_normal((m, 5, 4))
+        thetas = rng.uniform(0.0, 2.0 * np.pi, (m, 5))
+        for i in range(m):
+            u_rot, v_rot = _haar_rotation(us[i]), _haar_rotation(vs[i])
+            pts = np.empty((5, 2, 3))
+            for j in range(5):
+                a, b, r, s = base[i, j]
+                c, sn = np.cos(thetas[i, j]), np.sin(thetas[i, j])
+                pts[j, 0] = u_rot @ np.array([a, r * c, r * sn])
+                pts[j, 1] = v_rot @ np.array([b, s * c, s * sn])
+            weight = density(pts)
+            if weight <= 0.0:
+                continue
+            if current > 0.0:
+                ratio = weight / current
+                if not (ratio >= 1.0 or rng.uniform() < ratio):
+                    continue
+            states.append((start + i, pts, weight))
+            current = weight
+    return states
+
+
+def pose_map_volume_loop(n: int, seed: int, nj_at, rng_for) -> float:
+    """Monte Carlo variety volume, one Haar pose and one Jacobian at a time.
+
+    Pose ``index`` comes from ``rng_for(seed, index)``: a Gaussian 3x3
+    matrix turned into a Haar rotation, then a Gaussian direction.  The
+    mean of ``nj_at(R, t)`` is scaled by half the volume of SO(3) x S^2.
+    """
+    total = 0.0
+    for index in range(n):
+        rng = rng_for(seed, index)
+        rot = _haar_rotation(rng.standard_normal((3, 3)))
+        t = rng.standard_normal(3)
+        total += nj_at(rot, t / np.linalg.norm(t))
+    return 0.5 * (8.0 * np.pi ** 2) * (4.0 * np.pi) * total / n

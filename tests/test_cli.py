@@ -144,6 +144,7 @@ class TestVerifyCommand:
             raise ValueError(f"{constant} is not JSON")
 
         data = json.loads(out.read_text(), parse_constant=reject)
+        assert 0.0 < data["checks"]["volume_essential"]["worst_deviation"] <= 1e-6
         for name, tol in (("det_AAT_identity", 1e-10), ("nj_quadric_param", 1e-6)):
             check = data["checks"][name]
             assert abs(check["value"] - check["expected"]) <= tol * abs(check["expected"])

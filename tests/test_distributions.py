@@ -7,7 +7,7 @@ from essential_lab import solver as sv
 from essential_lab.errors import ChartSingularity, RankDeficient
 from essential_lab.geometry import E0, half_trace_norm
 
-from oracles import quaternion_rotation_sample
+from oracles import mh_box_chain_loop, quaternion_rotation_sample
 
 BOXES55 = [dist.BoxSpec(-5.0, 5.0, -5.0, 5.0)] * 10
 
@@ -215,9 +215,20 @@ class TestBoxWeight:
 class TestMhChain:
     def test_constant_density_accepts_everything(self):
         states, accepted = dist.mh_box_chain(dist.rng_for(20, 0), 2000, BOXES55,
-                                             psi=lambda pts: 1.0)
+                                             psi=lambda pts: np.ones(len(pts)))
         assert accepted == 2000
         assert len(states) == 2000
+
+    def test_stacked_chain_matches_one_proposal_at_a_time(self):
+        n = 20_000
+        states, accepted = dist.mh_box_chain(dist.rng_for(23, 0), n, BOXES55)
+        reference = mh_box_chain_loop(dist.rng_for(23, 0), n,
+                                      lambda pts: dist.box_weight(pts, BOXES55))
+        assert accepted == len(states) == len(reference) > 0
+        assert [p for p, _, _ in states] == [p for p, _, _ in reference]
+        for (_, pts, density), (_, ref_pts, ref_density) in zip(states, reference):
+            assert np.max(np.abs(pts - ref_pts)) <= 1e-12
+            assert density == pytest.approx(ref_density, rel=1e-12)
 
     def test_box_chain_acceptance_is_small(self):
         # heavy-tailed target: very few accepted states (hundreds per 1e6)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from essential_lab import distributions as dists
 from essential_lab import verify as vf
 from essential_lab.errors import DegenerateInput
 from essential_lab.geometry import E0, half_trace_inner, so3_basis
 
-from oracles import quaternion_rotation_sample
+from oracles import pose_map_volume_loop, quaternion_rotation_sample
 
 
 class TestFiniteDifferenceJacobian:
@@ -47,6 +48,52 @@ class TestPoseMapJacobian:
     def test_non_rotation_rejected(self):
         with pytest.raises(DegenerateInput):
             vf.nj_pose_map_at(np.diag([1.0, 1.0, -1.0]), np.array([1.0, 0.0, 0.0]))
+
+
+class TestStackedPoseMapJacobian:
+    def test_stack_matches_one_pose_at_a_time(self):
+        r, t = vf.sample_poses(31, 200)
+        stacked = vf.nj_pose_map(r, t)
+        single = np.array([vf.nj_pose_map_at(ri, ti) for ri, ti in zip(r, t)])
+        assert np.max(np.abs(stacked - single)) <= 1e-14
+
+    def test_poses_are_the_per_index_draws(self):
+        r, t = vf.sample_poses(32, 300)
+        r_ref, t_ref = [], []
+        for index in range(300):
+            rng = dists.rng_for(32, index)
+            r_ref.append(dists._rotations(rng, 1)[0])
+            ti = rng.standard_normal(3)
+            t_ref.append(ti / np.linalg.norm(ti))
+        assert np.array_equal(r, np.array(r_ref))
+        assert np.array_equal(t, np.array(t_ref))
+
+    def test_volume_matches_a_per_pose_loop(self):
+        value = vf.mc_volume_essential(2000, seed=33)
+        reference = pose_map_volume_loop(2000, 33, vf.nj_pose_map_at, dists.rng_for)
+        assert value == pytest.approx(reference, rel=1e-12)
+
+    def test_worst_deviation_comes_with_the_volume(self):
+        value, worst = vf.mc_volume_essential(300, seed=34, with_worst=True)
+        assert value == vf.mc_volume_essential(300, seed=34)
+        nj = vf.nj_pose_map(*vf.sample_poses(34, 300))
+        assert worst == np.max(np.abs(nj - 0.25))
+        assert 0.0 < worst <= 1e-6
+
+    def test_one_bad_pose_fails_the_stack(self):
+        r, t = vf.sample_poses(35, 20)
+        reflected = r.copy()
+        reflected[7, :, 2] *= -1.0
+        with pytest.raises(DegenerateInput):
+            vf.nj_pose_map(reflected, t)
+        long = t.copy()
+        long[11] *= 1.0 + 1e-9
+        with pytest.raises(DegenerateInput):
+            vf.nj_pose_map(r, long)
+
+    def test_volume_needs_a_sample(self):
+        with pytest.raises(ValueError):
+            vf.mc_volume_essential(0)
 
 
 class TestRotationActionJacobian:
@@ -138,6 +185,7 @@ class TestSuiteRunner:
     def test_all_suites_pass(self):
         report = vf.run_suite("all", seed=10, nj_samples=10, volume_samples=300)
         assert report["passed"]
+        assert 0.0 < report["checks"]["volume_essential"]["worst_deviation"] <= 1e-6
         assert set(report["checks"]) == {
             "nj_pose_map", "nj_rotation_action", "nj_quadric_param",
             "volume_essential", "det_AAT_identity", "detB_identity",
