@@ -367,6 +367,8 @@ def mh_box_chain(rng: np.random.Generator, n: int, boxes, psi=None):
         pts = np.stack([pts[:, :, 0] @ np.swapaxes(us, 1, 2),
                         pts[:, :, 1] @ np.swapaxes(vs, 1, 2)], axis=2)
         densities = np.asarray(psi(pts), dtype=float)
+        if densities.shape != (m,):
+            raise ValueError(f"psi must return {m} densities, got shape {densities.shape}")
         for i in np.flatnonzero(densities > 0.0):
             density = float(densities[i])
             if current_density > 0.0:

@@ -253,23 +253,21 @@ def verify_quadric_param_nj(samples: int = 50, seed: int = 0, h: float = DEFAULT
     return report
 
 
-def mc_volume_essential(n: int = 10_000, seed: int = 0, h: float = DEFAULT_STEP, *,
-                        with_worst: bool = False):
+def mc_volume_essential(n: int = 10_000, seed: int = 0,
+                        h: float = DEFAULT_STEP) -> tuple[float, float]:
     """Monte Carlo volume of the unit-sphere essential variety.
 
     Averages the pose-map normal Jacobian over Haar-random poses and
     multiplies by half the product of the rotation-group and sphere
     volumes (the map is 2:1).  The Jacobian is constant, so the estimate
-    is essentially exact: 4 pi^3.  With ``with_worst`` the result is the
-    pair (volume, max |NJ - 1/4| over the samples).
+    is essentially exact: 4 pi^3.  Returns the pair
+    (volume, max |NJ - 1/4| over the samples).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     nj = nj_pose_map(*sample_poses(seed, n), h=h)
     volume = 0.5 * VOL_SO3 * VOL_S2 * float(np.mean(nj))
-    if with_worst:
-        return volume, float(np.max(np.abs(nj - 0.25)))
-    return volume
+    return volume, float(np.max(np.abs(nj - 0.25)))
 
 
 def incidence_jacobian_blocks(points: np.ndarray) -> np.ndarray:
@@ -361,7 +359,7 @@ def run_suite(suite: str = "all", seed: int = 0, nj_samples: int = 100,
                 continue
             checks[rep.name] = rep.to_dict()
     if suite in ("all", "volumes"):
-        vol_sphere, worst = mc_volume_essential(volume_samples, seed, with_worst=True)
+        vol_sphere, worst = mc_volume_essential(volume_samples, seed)
         expected = 4.0 * math.pi ** 3
         rel = abs(vol_sphere - expected) / expected
         ratio = (0.5 * vol_sphere) / VOL_RP5

@@ -98,7 +98,7 @@ def test_criterion_07_normal_jacobian_constants():
 
 
 def test_criterion_08_variety_volume():
-    vol = vf.mc_volume_essential(10_000, seed=ACCEPT_SEED)
+    vol, _ = vf.mc_volume_essential(10_000, seed=ACCEPT_SEED)
     expected = 4.0 * math.pi ** 3
     ratio = (0.5 * vol) / vf.VOL_RP5
     ok = abs(vol - expected) <= 0.01 * expected and 3.96 <= ratio <= 4.04

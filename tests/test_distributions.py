@@ -219,6 +219,10 @@ class TestMhChain:
         assert accepted == 2000
         assert len(states) == 2000
 
+    def test_psi_must_weigh_the_whole_batch(self):
+        with pytest.raises(ValueError):
+            dist.mh_box_chain(dist.rng_for(20, 0), 100, BOXES55, psi=lambda pts: 1.0)
+
     def test_stacked_chain_matches_one_proposal_at_a_time(self):
         n = 20_000
         states, accepted = dist.mh_box_chain(dist.rng_for(23, 0), n, BOXES55)

@@ -69,14 +69,10 @@ class TestStackedPoseMapJacobian:
         assert np.array_equal(t, np.array(t_ref))
 
     def test_volume_matches_a_per_pose_loop(self):
-        value = vf.mc_volume_essential(2000, seed=33)
+        value, worst = vf.mc_volume_essential(2000, seed=33)
         reference = pose_map_volume_loop(2000, 33, vf.nj_pose_map_at, dists.rng_for)
         assert value == pytest.approx(reference, rel=1e-12)
-
-    def test_worst_deviation_comes_with_the_volume(self):
-        value, worst = vf.mc_volume_essential(300, seed=34, with_worst=True)
-        assert value == vf.mc_volume_essential(300, seed=34)
-        nj = vf.nj_pose_map(*vf.sample_poses(34, 300))
+        nj = vf.nj_pose_map(*vf.sample_poses(33, 2000))
         assert worst == np.max(np.abs(nj - 0.25))
         assert 0.0 < worst <= 1e-6
 
@@ -169,7 +165,7 @@ class TestIncidenceIdentity:
 
 class TestVolumes:
     def test_volume_estimate(self):
-        value = vf.mc_volume_essential(400, seed=8)
+        value, _ = vf.mc_volume_essential(400, seed=8)
         expected = 4.0 * math.pi ** 3
         assert abs(value - expected) / expected <= 0.01
         assert (0.5 * value) / vf.VOL_RP5 == pytest.approx(4.0, abs=0.04)
