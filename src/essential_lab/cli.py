@@ -84,26 +84,44 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _numbers(value, depth: int) -> bool:
+    """Whether a JSON value is a list nested ``depth`` deep around numbers."""
+    if depth == 0:
+        return isinstance(value, (int, float))
+    return isinstance(value, list) and all(_numbers(item, depth - 1) for item in value)
+
+
 def load_instance(path: str) -> LinearSpace:
-    """Read an instance file: either explicit rows or correspondences."""
+    """Read an instance file of rows or correspondences; ValueError if it has another shape."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("instance file needs a JSON object")
     if "rows" in data:
+        if not _numbers(data["rows"], 2):
+            raise ValueError("'rows' must be a list of lists of numbers")
         return LinearSpace(np.asarray(data["rows"], dtype=float))
     if "correspondences" in data:
+        entries = data["correspondences"]
+        if not (isinstance(entries, list) and all(
+                isinstance(c, dict) and _numbers(c.get("u"), 1) and _numbers(c.get("v"), 1)
+                for c in entries)):
+            raise ValueError("'correspondences' must be a list of {'u': [...], 'v': [...]}")
         pairs = tuple((np.asarray(c["u"], dtype=float), np.asarray(c["v"], dtype=float))
-                      for c in data["correspondences"])
+                      for c in entries)
         return dists.linear_space_from_correspondences(dists.Correspondences5(pairs))
     raise ValueError("instance file needs 'rows' or 'correspondences'")
 
 
 def load_boxes(path: str):
+    """Read a box config ``{"boxes": [[a, b, c, d] x10]}``; ValueError if it has another shape."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    boxes = [dists.BoxSpec(*entry) for entry in data["boxes"]]
-    if len(boxes) != 10:
-        raise ValueError("box config needs exactly ten boxes")
-    return boxes
+    entries = data.get("boxes") if isinstance(data, dict) else None
+    if not (_numbers(entries, 2) and len(entries) == 10
+            and all(len(entry) == 4 for entry in entries)):
+        raise ValueError("box config needs 'boxes': ten [a, b, c, d] lists of numbers")
+    return [dists.BoxSpec(*entry) for entry in entries]
 
 
 def write_report(report: dict, path, fmt: str = "json") -> None:

@@ -9,9 +9,10 @@ Three distributions of codimension-5 linear spaces are provided:
 * ``sample_box`` -- correspondences drawn uniformly from pixel boxes in
   the affine chart, the distribution used for camera-like experiments.
 
-The module also samples the 5-dimensional z-vector whose determinant
-ensemble reproduces the correspondence average, and runs the
-independence-proposal Metropolis-Hastings chain for box targets.
+The base quadric u^T E0 v = 0 lives here too: ``quadric_draw``,
+``quadric_param`` and ``quadric_z`` give its parameters, correspondences
+and z-vectors, whose determinant ensemble reproduces the correspondence
+average; the box Metropolis-Hastings chain proposes from it.
 
 Every sampler takes an explicit ``numpy.random.Generator``.  For
 scheduling-independent parallel runs, derive one generator per sample
@@ -74,20 +75,6 @@ class Correspondences5:
         if len(pairs) != 5:
             raise ValueError("need exactly five correspondences")
         object.__setattr__(self, "pairs", pairs)
-
-
-@dataclass(frozen=True, eq=False)
-class ZVector:
-    """The 5-vector (b r sin, b r cos, a s sin, a s cos, r s)."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float).reshape(5)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("z-vector must be finite")
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
 
 
 def _rotations(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -249,15 +236,13 @@ def density_g(u) -> float:
 
 
 def _z_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    a, b, r, s = rng.standard_normal((4, n))
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    sin, cos = np.sin(theta), np.cos(theta)
-    return np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=1)
-
-
-def sample_z(rng: np.random.Generator) -> ZVector:
-    """One z-vector draw: a, b, r, s standard normal, theta uniform."""
-    return ZVector(_z_batch(rng, 1)[0])
+    """n z-vectors (n, 5): a, b, r, s drawn as four rows of n normals, then n thetas."""
+    p = np.empty((5, n))
+    rng.standard_normal(out=p[:4])
+    # random() scaled in place draws what uniform(0, 2 pi, n) draws, with no temporary
+    rng.random(out=p[4])
+    p[4] *= 2.0 * np.pi
+    return quadric_z(p.T)
 
 
 def sample_z_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -277,6 +262,17 @@ def sample_essential_uniform(rng: np.random.Generator):
     return e, Rotation(u), Rotation(v)
 
 
+def quadric_draw(rng: np.random.Generator, shape) -> np.ndarray:
+    """Quadric parameters (*shape, 5) of (a, b, r, s, theta).
+
+    Draws all a, b, r, s standard normal first (shape (*shape, 4)), then
+    every theta uniform on [0, 2 pi).
+    """
+    base = rng.standard_normal((*shape, 4))
+    theta = rng.uniform(0.0, 2.0 * np.pi, shape)
+    return np.concatenate([base, theta[..., None]], axis=-1)
+
+
 def quadric_param(a5: np.ndarray) -> np.ndarray:
     """Map (a, b, r, s, theta) per point to correspondence vectors.
 
@@ -291,31 +287,43 @@ def quadric_param(a5: np.ndarray) -> np.ndarray:
     return np.stack([u, v], axis=-2)
 
 
-def box_weight(points: np.ndarray, boxes) -> float:
-    """Density of a correspondence tuple under the box law, per uniform law.
+def quadric_z(p: np.ndarray) -> np.ndarray:
+    """z-vectors (..., 5) of quadric parameters (..., 5).
 
-    ``points`` has shape (5, 2, 3).  The weight is the product over all
-    ten image points of ``vol(RP^2) * g(point) / area(box)`` when every
-    point lies in its box chart region, else 0.  Densities are taken with
-    respect to the uniform probability measure, which is what the
-    integral-formula estimators expect.
+    Each is (b r sin, b r cos, a s sin, a s cos, r s), i.e.
+    (v0 u2, v0 u1, u0 v2, u0 v1, u1 v1 + u2 v2) of the correspondence
+    (u, v) that :func:`quadric_param` gives for the same parameters.
     """
-    points = np.asarray(points, dtype=float).reshape(10, 3)
-    boxes = [b if isinstance(b, BoxSpec) else BoxSpec(*b) for b in boxes]
-    weight = 1.0
-    for p, box in zip(points, boxes):
-        norm = np.linalg.norm(p)
-        if abs(p[2]) <= 1e-12 * norm:
-            return 0.0
-        y1, y2 = p[0] / p[2], p[1] / p[2]
-        if not (box.a <= y1 <= box.b and box.c <= y2 <= box.d):
-            return 0.0
-        weight *= VOL_RP2 * (norm ** 2 / p[2] ** 2) * (norm / abs(p[2])) / box.area
-    return weight
+    a, b, r, s, theta = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    sin, cos = np.sin(theta), np.cos(theta)
+    return np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=-1)
 
 
-def _box_weights_batch(points: np.ndarray, boxes) -> np.ndarray:
-    """Vectorized :func:`box_weight` for stacked (n, 5, 2, 3) points."""
+def rotated_quadric_draw(rng: np.random.Generator, m: int):
+    """m uniform essential matrices, each with five correspondences on it.
+
+    Draws m Haar rotations U, then m rotations V, then the quadric
+    parameters (m, 5, 5) by :func:`quadric_draw`.  Returns the parameters
+    and the points (m, 5, 2, 3) of :func:`quadric_param` rotated as
+    u -> U u, v -> V v, which lie on u^T (U E0 V^T) v = 0.
+    """
+    us = _rotations(rng, m)
+    vs = _rotations(rng, m)
+    p = quadric_draw(rng, (m, 5))
+    pts = quadric_param(p)
+    return p, np.stack([pts[:, :, 0] @ np.swapaxes(us, 1, 2),
+                        pts[:, :, 1] @ np.swapaxes(vs, 1, 2)], axis=2)
+
+
+def box_weights(points: np.ndarray, boxes) -> np.ndarray:
+    """Density of stacked correspondence tuples under the box law, per uniform law.
+
+    ``points`` has shape (n, 5, 2, 3).  Each weight is the product over
+    all ten image points of ``vol(RP^2) * g(point) / area(box)`` when
+    every point lies in its box chart region, else 0.  Densities are
+    taken with respect to the uniform probability measure, which is what
+    the integral-formula estimators expect.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 10, 3)
     boxes = [b if isinstance(b, BoxSpec) else BoxSpec(*b) for b in boxes]
     lo1 = np.array([b.a for b in boxes])
@@ -351,7 +359,7 @@ def mh_box_chain(rng: np.random.Generator, n: int, boxes, psi=None):
     """
     if psi is None:
         def psi(points):
-            return _box_weights_batch(points, boxes)
+            return box_weights(points, boxes)
 
     batch = 4096
     states = []          # (chain_index, points, density) of accepted proposals
@@ -359,13 +367,7 @@ def mh_box_chain(rng: np.random.Generator, n: int, boxes, psi=None):
     produced = 0
     while produced < n:
         m = min(batch, n - produced)
-        us = _rotations(rng, m)
-        vs = _rotations(rng, m)
-        base = rng.standard_normal((m, 5, 4))
-        thetas = rng.uniform(0.0, 2.0 * np.pi, (m, 5))
-        pts = quadric_param(np.concatenate([base, thetas[..., None]], axis=2))
-        pts = np.stack([pts[:, :, 0] @ np.swapaxes(us, 1, 2),
-                        pts[:, :, 1] @ np.swapaxes(vs, 1, 2)], axis=2)
+        _, pts = rotated_quadric_draw(rng, m)
         densities = np.asarray(psi(pts), dtype=float)
         if densities.shape != (m,):
             raise ValueError(f"psi must return {m} densities, got shape {densities.shape}")

@@ -36,21 +36,11 @@ VOL_ESSENTIAL = 2.0 * math.pi ** 3
 
 @dataclass
 class StreamStats:
-    """Mergeable running statistics (Welford form)."""
+    """Mergeable summary statistics: count, mean and sum of squared deviations."""
 
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-        self.min = min(self.min, x)
-        self.max = max(self.max, x)
 
     def merge(self, other: "StreamStats") -> "StreamStats":
         if other.count == 0:
@@ -61,7 +51,7 @@ class StreamStats:
         delta = other.mean - self.mean
         mean = self.mean + delta * other.count / n
         m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / n
-        return StreamStats(n, mean, m2, min(self.min, other.min), max(self.max, other.max))
+        return StreamStats(n, mean, m2)
 
     @classmethod
     def from_values(cls, values) -> "StreamStats":
@@ -70,7 +60,7 @@ class StreamStats:
             return cls()
         mean = float(values.mean())
         m2 = float(np.sum((values - mean) ** 2))
-        return cls(values.size, mean, m2, float(values.min()), float(values.max()))
+        return cls(values.size, mean, m2)
 
     @property
     def variance(self) -> float:
@@ -288,21 +278,10 @@ def estimate_count_integral(n: int, seed: int, boxes=None) -> IntegralEstimate:
     chunk = 50_000
     while done < n:
         m = min(chunk, n - done)
-        rng = dists.rng_for(seed, chunk_index)
-        us = dists._rotations(rng, m)
-        vs = dists._rotations(rng, m)
-        base = rng.standard_normal((m, 5, 4))
-        thetas = rng.uniform(0.0, 2.0 * np.pi, (m, 5))
-        a, b, r, s = (base[..., k] for k in range(4))
-        sin, cos = np.sin(thetas), np.cos(thetas)
-        z = np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=1)
-        dets = np.abs(np.linalg.det(z))
-        if boxes is None:
-            weights = 1.0
-        else:
-            u = np.einsum("mij,mpj->mpi", us, np.stack([a, r * cos, r * sin], axis=2))
-            v = np.einsum("mij,mpj->mpi", vs, np.stack([b, s * cos, s * sin], axis=2))
-            weights = dists._box_weights_batch(np.stack([u, v], axis=2), boxes)
+        p, points = dists.rotated_quadric_draw(dists.rng_for(seed, chunk_index), m)
+        # columns of Z are the five z-vectors
+        dets = np.abs(np.linalg.det(np.swapaxes(dists.quadric_z(p), 1, 2)))
+        weights = 1.0 if boxes is None else dists.box_weights(points, boxes)
         stats = stats.merge(StreamStats.from_values((VOL_ESSENTIAL / 8.0) * weights * dets))
         done += m
         chunk_index += 1

@@ -224,13 +224,7 @@ def verify_quadric_param_nj(samples: int = 50, seed: int = 0, h: float = DEFAULT
 
     The report's value and expected value are those of the first sample.
     """
-
-    def param(p):
-        a, b, r, s, theta = p
-        return np.array([a, r * math.cos(theta), r * math.sin(theta),
-                         b, s * math.cos(theta), s * math.sin(theta)])
-
-    frame_out = list(np.eye(6))
+    frame_out = list(np.eye(6).reshape(6, 2, 3))     # u and v coordinates
     worst = 0.0
     value = reference = None
     for index in range(samples):
@@ -242,7 +236,7 @@ def verify_quadric_param_nj(samples: int = 50, seed: int = 0, h: float = DEFAULT
             (lambda s, i=i, p=point.copy(): p + s * np.eye(5)[i])
             for i in range(5)
         ]
-        got = finite_diff_normal_jacobian(param, curves, frame_out, h=h)
+        got = finite_diff_normal_jacobian(dists.quadric_param, curves, frame_out, h=h)
         if value is None:
             value, reference = got, expected
         worst = max(worst, abs(got - expected))
@@ -317,17 +311,11 @@ def verify_detB_identity(n: int = 100_000, seed: int = 0) -> dict:
     its rows are componentwise sqrt(2)-scalings of z-vectors except the
     last coordinate, so the absolute determinants match up to a factor 4.
     """
-    rng = dists.rng_for(seed, 0)
-    m = n
-    base = rng.standard_normal((m, 5, 4))
-    thetas = rng.uniform(0.0, 2.0 * math.pi, (m, 5))
-    a, b, r, s = (base[..., k] for k in range(4))
-    sin, cos = np.sin(thetas), np.cos(thetas)
-    # rows of B for u=(a, r w), v=(b, s w): sqrt2*(br sin, br cos, as sin, as cos), rs
+    p = dists.quadric_draw(dists.rng_for(seed, 0), (n, 5))
+    # rows of B for u=(a, r w), v=(b, s w): sqrt2*(br sin, br cos, as sin, as cos), rs,
+    # the z-vectors of the draw with a and b scaled by sqrt2
     root2 = math.sqrt(2.0)
-    bmat = np.stack([root2 * b * r * sin, root2 * b * r * cos,
-                     root2 * a * s * sin, root2 * a * s * cos, r * s], axis=2)
-    det_b = np.abs(np.linalg.det(bmat))
+    det_b = np.abs(np.linalg.det(dists.quadric_z(p * [root2, root2, 1.0, 1.0, 1.0])))
 
     rng2 = dists.rng_for(seed, 1)
     det_z = np.abs(np.linalg.det(dists.sample_z_matrices(rng2, n)))

@@ -89,11 +89,9 @@ def hL_support(rho) -> float | np.ndarray:
     r1, r2, r3 = r[:, 0], r[:, 1], r[:, 2]
 
     def safe_f(a, b):
-        rad2 = a * a + b * b
-        zero = rad2 == 0.0
-        rad2 = np.where(zero, 1.0, rad2)
-        val = (2.0 / math.pi ** 2) * np.sqrt(rad2) * elliptic_E(np.clip(a * a / rad2, 0.0, 1.0))
-        return np.where(zero, 0.0, val)
+        # F is undefined at the origin: evaluate it at (a, 1) there, then drop it
+        zero = a * a + b * b == 0.0
+        return np.where(zero, 0.0, F_bound(a, np.where(zero, 1.0, b)))
 
     values = np.stack([
         np.zeros_like(r1),
@@ -152,7 +150,7 @@ def _octant_directions(grid: int) -> np.ndarray:
 def membership_check(q, grid: int = 128, refine_iters: int = 12):
     """Certify ``<q, rho> <= h(rho) + 1e-9`` over unit octant directions.
 
-    Scans a grid of at least ``grid**2`` directions, then polishes the
+    Scans a grid of ``grid**2`` directions (``grid >= 2``), then polishes the
     worst cells by local minimization of the margin.  Returns
     ``(certified, worst_margin)``; a negative margin beyond the tolerance
     means the point lies outside the body.
@@ -160,7 +158,9 @@ def membership_check(q, grid: int = 128, refine_iters: int = 12):
     q = np.asarray(q, dtype=float).reshape(3)
     if np.any(q < 0.0):
         raise ValueError("membership points live in the nonnegative octant")
-    dirs = _octant_directions(max(grid, 2))
+    if grid < 2:
+        raise ValueError("grid needs at least 2 points per angle")
+    dirs = _octant_directions(grid)
     margins = hL_support(dirs) - dirs @ q
 
     q0, q1, q2 = q

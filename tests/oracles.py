@@ -101,6 +101,28 @@ def _haar_rotation(gauss: np.ndarray) -> np.ndarray:
     return q
 
 
+def box_weight(points: np.ndarray, boxes) -> float:
+    """Box-law density of one correspondence tuple per uniform law, point by point.
+
+    ``points`` has shape (5, 2, 3); ``boxes`` holds ten boxes with bounds
+    ``a <= y1 <= b`` and ``c <= y2 <= d`` in the chart y = (p1/p3, p2/p3).
+    The weight is the product of ``vol(RP^2) g(p) / area`` over the ten
+    points, with g(p) = |p|^3 / |p3|^3, or 0 when a point leaves its box.
+    """
+    points = np.asarray(points, dtype=float).reshape(10, 3)
+    weight = 1.0
+    for p, box in zip(points, boxes):
+        norm = np.linalg.norm(p)
+        if abs(p[2]) <= 1e-12 * norm:
+            return 0.0
+        y1, y2 = p[0] / p[2], p[1] / p[2]
+        if not (box.a <= y1 <= box.b and box.c <= y2 <= box.d):
+            return 0.0
+        area = (box.b - box.a) * (box.d - box.c)
+        weight *= 2.0 * np.pi * (norm ** 2 / p[2] ** 2) * (norm / abs(p[2])) / area
+    return weight
+
+
 def mh_box_chain_loop(rng: np.random.Generator, n: int, density, batch: int = 4096):
     """The box-target Metropolis-Hastings chain, one proposal per iteration.
 

@@ -56,6 +56,12 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"points": []}))
         assert run_cli(["solve", "--input", str(bad)]) == 2
 
+    @pytest.mark.parametrize("payload", [{"correspondences": [1, 2, 3, 4, 5]}, 7])
+    def test_malformed_instance_is_validation_error(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli(["solve", "--input", str(bad)]) == 2
+
 
 class TestExperimentCommand:
     def test_json_report_and_determinism(self, tmp_path):
@@ -93,6 +99,17 @@ class TestExperimentCommand:
                         "--boxes", str(boxes), "--out", str(out)]) == 0
         assert strip_wall_time(out)["config"]["boxes"][0] == [-5, 5, -5, 5]
 
+    @pytest.mark.parametrize("payload", [
+        {"boxes": [[1, 2, 3]]},
+        {"boxes": [[-5, 5, -5, 5]] * 9 + [[-5, 5, -5]]},
+        {"boxes": 5},
+    ])
+    def test_malformed_box_config_is_validation_error(self, tmp_path, payload):
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps(payload))
+        assert run_cli(["experiment", "--dist", "box", "--n", "10",
+                        "--boxes", str(boxes)]) == 2
+
     def test_unwritable_path_is_io_error(self, tmp_path):
         assert run_cli(["experiment", "--dist", "psi", "--n", "10",
                         "--out", str(tmp_path / "missing-dir" / "x.json")]) == 2
@@ -123,6 +140,10 @@ class TestZonoidCommand:
 
     def test_csv_is_usage_error(self):
         assert run_cli(["zonoid", "--format", "csv"]) == 1
+
+    def test_grid_below_two_is_validation_error(self, capsys):
+        assert run_cli(["zonoid", "--grid", "-5"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:

@@ -1,0 +1,99 @@
+"""Every function and class defined in src/ is used somewhere.
+
+A definition counts as used when its name occurs outside its own body in
+code under src/, tests/ or perfbench/ (as a name, an attribute or a word
+of a string literal other than a docstring: the benchmark binds names as
+strings) or in pyproject.toml.  Imports and docstrings do not count.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORD = re.compile(r"[A-Za-z_]\w*")
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _docstrings(tree):
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, SCOPES) and node.body and isinstance(node.body[0], ast.Expr):
+            found.add(id(node.body[0].value))
+    return found
+
+
+def _uses(tree):
+    """(name, line) of every name, attribute and string word the tree uses."""
+    docstrings = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            for word in WORD.findall(node.value):
+                yield word, node.lineno
+
+
+def _definitions(tree, prefix):
+    """(qualified name, name, first line, last line) of every non-dunder definition."""
+    stack = [(tree, prefix)]
+    while stack:
+        scope, name = stack.pop()
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, DEFINITIONS):
+                qualified = f"{name}.{node.name}"
+                if not node.name.startswith("__"):
+                    yield qualified, node.name, node.lineno, node.end_lineno
+                stack.append((node, qualified))
+            elif not isinstance(node, ast.expr):
+                stack.append((node, name))
+
+
+def unused_definitions(root=ROOT):
+    """Qualified names of the src/ definitions that nothing uses."""
+    uses = {}                      # name -> set of (path, line)
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for word, line in _uses(ast.parse(path.read_text(encoding="utf-8"))):
+                uses.setdefault(word, set()).add((path, line))
+    for word in WORD.findall((root / "pyproject.toml").read_text(encoding="utf-8")):
+        uses.setdefault(word, set()).add((root / "pyproject.toml", 0))
+
+    unused = []
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, name, first, last in _definitions(tree, path.stem):
+            outside = [u for u in uses.get(name, ())
+                       if not (u[0] == path and first <= u[1] <= last)]
+            if not outside:
+                unused.append(qualified)
+    return unused
+
+
+def test_every_definition_is_used():
+    assert unused_definitions() == []
+
+
+def test_an_unused_definition_is_found(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "pyproject.toml").write_text('[project.scripts]\nx = "pkg.mod:main"\n')
+    (package / "mod.py").write_text(
+        "def main(obj):\n"
+        "    \"\"\"Not a use of recursive or Spare.\"\"\"\n"
+        "    return helper(), getattr(obj, 'named')\n\n"
+        "def helper():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class Spare:\n"
+        "    def __init__(self):\n        pass\n\n"
+        "    def named(self):\n        pass\n\n"
+        "    def unnamed(self):\n        return self.unnamed\n"
+    )
+    assert sorted(unused_definitions(tmp_path)) == [
+        "mod.Spare", "mod.Spare.unnamed", "mod.recursive"]

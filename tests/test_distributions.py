@@ -7,7 +7,7 @@ from essential_lab import solver as sv
 from essential_lab.errors import ChartSingularity, RankDeficient
 from essential_lab.geometry import E0, half_trace_norm
 
-from oracles import mh_box_chain_loop, quaternion_rotation_sample
+from oracles import box_weight, mh_box_chain_loop, quaternion_rotation_sample
 
 BOXES55 = [dist.BoxSpec(-5.0, 5.0, -5.0, 5.0)] * 10
 
@@ -149,6 +149,15 @@ class TestZVector:
         mats = dist.sample_z_matrices(dist.rng_for(13, 0), 7)
         assert mats.shape == (7, 5, 5)
 
+    def test_z_vectors_of_the_quadric_correspondences(self):
+        p = dist.quadric_draw(dist.rng_for(13, 1), (400, 5))
+        pts = dist.quadric_param(p)
+        u, v = pts[..., 0, :], pts[..., 1, :]
+        expected = np.stack([v[..., 0] * u[..., 2], v[..., 0] * u[..., 1],
+                             u[..., 0] * v[..., 2], u[..., 0] * v[..., 1],
+                             u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]], axis=-1)
+        assert np.max(np.abs(dist.quadric_z(p) - expected)) <= 1e-12
+
 
 class TestEssentialUniform:
     def test_invariants(self):
@@ -184,8 +193,8 @@ class TestBoxWeight:
             a5 = rng.standard_normal((5, 5))
             a5[:, 4] = rng.uniform(0.0, 2.0 * np.pi, 5)
             pts = dist.quadric_param(a5)
-            w_scalar = dist.box_weight(pts, BOXES55)
-            w_batch = dist._box_weights_batch(pts[None], BOXES55)[0]
+            w_scalar = box_weight(pts, BOXES55)
+            w_batch = dist.box_weights(pts[None], BOXES55)[0]
             assert w_scalar == pytest.approx(w_batch, rel=1e-12, abs=1e-300)
 
     def test_quadric_points_satisfy_base_equation(self):
@@ -227,7 +236,7 @@ class TestMhChain:
         n = 20_000
         states, accepted = dist.mh_box_chain(dist.rng_for(23, 0), n, BOXES55)
         reference = mh_box_chain_loop(dist.rng_for(23, 0), n,
-                                      lambda pts: dist.box_weight(pts, BOXES55))
+                                      lambda pts: box_weight(pts, BOXES55))
         assert accepted == len(states) == len(reference) > 0
         assert [p for p, _, _ in states] == [p for p, _, _ in reference]
         for (_, pts, density), (_, ref_pts, ref_density) in zip(states, reference):

@@ -117,19 +117,14 @@ class TestRotationActionJacobian:
 
 class TestQuadricParametrization:
     def test_reference_points(self):
-        def param(p):
-            a, b, r, s, theta = p
-            return np.array([a, r * math.cos(theta), r * math.sin(theta),
-                             b, s * math.cos(theta), s * math.sin(theta)])
-
-        frame = list(np.eye(6))
+        frame = list(np.eye(6).reshape(6, 2, 3))
         for point, expected in [
             (np.array([0.0, 0.0, 1.0, 0.0, 0.3]), 1.0),
             (np.array([0.4, -0.2, 3.0, 4.0, 1.1]), 5.0),
             (np.array([0.4, -0.2, 0.0, 0.0, 1.1]), 0.0),
         ]:
             curves = [(lambda s, i=i, p=point: p + s * np.eye(5)[i]) for i in range(5)]
-            value = vf.finite_diff_normal_jacobian(param, curves, frame)
+            value = vf.finite_diff_normal_jacobian(dists.quadric_param, curves, frame)
             assert value == pytest.approx(expected, abs=1e-6)
 
     def test_random_points(self):

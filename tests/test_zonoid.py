@@ -93,6 +93,33 @@ class TestMembership:
         with pytest.raises(ValueError):
             zn.membership_check(np.array([-1.0, 0.0, 0.0]))
 
+    def test_grid_below_two_rejected(self):
+        for grid in (1, 0, -5):
+            with pytest.raises(ValueError):
+                zn.membership_check(np.array([0.0, 0.0, ONE_OVER_PI]), grid=grid)
+
+
+class TestScalarPolishPath:
+    """The scalar forms that the Nelder-Mead polish calls agree with the array forms."""
+
+    def test_elliptic_e_scalar(self):
+        ms = np.concatenate([[0.0, 0.5, 1.0, 1e-300, 1.0 - 1e-16],
+                             np.linspace(0.0, 1.0, 1001),
+                             np.random.default_rng(3).uniform(0.0, 1.0, 1000)])
+        for m in ms:
+            assert abs(zn._elliptic_e_scalar(float(m)) - zn.elliptic_E(m)) <= 1e-13
+
+    def test_hl_scalar(self):
+        rng = np.random.default_rng(4)
+        rho = np.abs(rng.standard_normal((2000, 3)))
+        rho[rng.uniform(size=rho.shape) < 0.3] = 0.0
+        rho = np.concatenate([rho, np.eye(3), [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]])
+        norms = np.linalg.norm(rho, axis=1, keepdims=True)
+        rho = rho / np.where(norms > 0.0, norms, 1.0)
+        expected = zn.hL_support(rho)
+        for direction, value in zip(rho, expected):
+            assert abs(zn._hl_scalar(*direction) - value) <= 1e-13
+
 
 class TestPolytope:
     def test_generators_inside_hull(self):
