@@ -19,11 +19,16 @@ scheduling-independent parallel runs, derive one generator per sample
 index with :func:`rng_for`, which keys a counter-based Philox stream by
 ``(seed, index)``.  The three linear-space samplers also take a sequence
 of such generators and then return one stacked instance per generator,
-as arrays: each instance gets exactly the draws it gets alone.
+as arrays: each instance gets exactly the draws it gets alone.  Given a
+:class:`Streams`, the generators of a run of indices, they draw every
+instance from one Philox re-keyed index by index, which makes the draws
+of ``rng_for`` without building a generator per index; the norms, signs,
+rows and rank checks then run once for the whole stack.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +40,76 @@ from .solver import LinearSpace, nullspace_basis
 VOL_RP2 = 2.0 * np.pi   # Riemannian area of the projective plane
 
 
+_MASK = (1 << 64) - 1
+
+
+def _key(seed: int, index: int) -> np.ndarray:
+    return np.array([seed & _MASK, index & _MASK], dtype=np.uint64)
+
+
 def rng_for(seed: int, index: int) -> np.random.Generator:
     """Independent generator for one sample: Philox keyed by (seed, index)."""
-    mask = (1 << 64) - 1
-    key = np.array([seed & mask, index & mask], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+
+
+class Streams(Sequence):
+    """The generators ``rng_for(seed, start + i)`` for ``i`` in ``range(n)``.
+
+    :meth:`fill` makes one draw per index from a single Philox whose state
+    is set, index after index, to key (seed, start + i), counter 0 and an
+    empty buffer: the state ``rng_for`` starts in, so each draw is the one
+    ``rng_for(seed, start + i)`` makes, at a fraction of the cost of a new
+    generator.  ``streams[i]`` is instance i's own generator, built by
+    ``rng_for`` on first use and advanced by that draw, so later draws
+    from it (a redraw, a new solver chart) continue where they would.
+    """
+
+    def __init__(self, seed: int, start: int, n: int):
+        self.seed, self.start, self.n = seed, start, n
+        self._replay = None
+        self._own = {}
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i) -> np.random.Generator:
+        if not 0 <= i < self.n:
+            raise IndexError(f"stream {i} out of range({self.n})")
+        if i not in self._own:
+            rng = rng_for(self.seed, self.start + int(i))
+            if self._replay is not None:
+                self._replay(rng)
+            self._own[i] = rng
+        return self._own[i]
+
+    def fill(self, draw, out: np.ndarray) -> np.ndarray:
+        """Call ``draw(generator, out[i])`` with the stream of every index i in turn."""
+        bit_generator = np.random.Philox(0)
+        rng = np.random.Generator(bit_generator)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for i in range(self.n):
+            state["state"]["key"] = _key(self.seed, self.start + i)
+            bit_generator.state = state
+            draw(rng, out[i])
+        shape = out.shape[1:]
+        self._replay = lambda g: draw(g, np.empty(shape))
+        return out
+
+
+def _fill(rngs, draw, out: np.ndarray) -> np.ndarray:
+    """``draw(generator, out[i])`` for the generator of each instance i."""
+    if isinstance(rngs, Streams):
+        return rngs.fill(draw, out)
+    for rng, slot in zip(rngs, out):
+        draw(rng, slot)
+    return out
+
+
+def _normals(rng: np.random.Generator, out: np.ndarray) -> None:
+    rng.standard_normal(out=out)
 
 
 @dataclass(frozen=True)
@@ -102,17 +172,25 @@ def sample_rp2(rng: np.random.Generator) -> ProjectivePoint2:
 
 
 def _rp2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal((n, 3))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        v[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(v, axis=1)
-    v /= norms[:, None]
+    return _rp2_points(rng.standard_normal((1, n, 3)), [rng])[0]
+
+
+def _rp2_points(v: np.ndarray, rngs) -> np.ndarray:
+    """Uniform projective points from Gaussian 3-vectors v (N, k, 3), normalized in place.
+
+    A vector shorter than 1e-12 is redrawn from its instance's generator
+    ``rngs[i]`` until none is; each point's sign is canonical.
+    """
+    norms = np.linalg.norm(v, axis=-1)
+    for i in np.flatnonzero(np.any(norms < 1e-12, axis=-1)):
+        while np.any(norms[i] < 1e-12):
+            bad = norms[i] < 1e-12
+            v[i, bad] = rngs[i].standard_normal((int(bad.sum()), 3))
+            norms[i] = np.linalg.norm(v[i], axis=-1)
+    v /= norms[..., None]
     # canonical sign: first component of largest magnitude made positive
-    lead = np.argmax(np.abs(v), axis=1)
-    signs = np.sign(v[np.arange(n), lead])
-    return v * signs[:, None]
+    lead = np.argmax(np.abs(v), axis=-1)
+    return v * np.sign(np.take_along_axis(v, lead[..., None], axis=-1))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -126,14 +204,16 @@ def _pair_rows(points: np.ndarray) -> np.ndarray:
     return (u[..., :, None] * v[..., None, :]).reshape(points.shape[:-2] + (5, 9))
 
 
-def _stack(rngs, draw, redraw):
-    """One draw of rows from each generator, rank-checked together.
+def _stack(rngs, draw, shape, rows_of, redraw):
+    """One draw from each generator, turned into rows and rank-checked together.
 
-    Returns the rows (N, 5, 9) and their kernel bases (N, 4, 9) from one
-    SVD per instance.  A rank-deficient draw is replaced by ``redraw`` of
-    its own generator, a function returning a :class:`LinearSpace`.
+    ``draw(rng, out)`` fills one instance's slot of shape ``shape``, and
+    ``rows_of(raw, rngs)`` maps the stacked draws to rows (N, 5, 9).
+    Returns the rows and their kernel bases (N, 4, 9) from one SVD per
+    instance.  A rank-deficient draw is replaced by ``redraw`` of its own
+    generator, a function returning a :class:`LinearSpace`.
     """
-    rows = np.stack([draw(rng) for rng in rngs])
+    rows = rows_of(_fill(rngs, draw, np.empty((len(rngs),) + shape)), rngs)
     basis = nullspace_basis(rows)
     for i in np.flatnonzero(np.isnan(basis[:, 0, 0])):
         space = redraw(rngs[i])
@@ -141,24 +221,20 @@ def _stack(rngs, draw, redraw):
     return rows, basis
 
 
-def _gaussian_rows(rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((5, 9))
-
-
 def sample_unifG(rng):
     """Rotation-invariant random linear space: i.i.d. Gaussian rows.
 
     Given one generator, returns a :class:`LinearSpace`.  Given a sequence
-    of generators, draws one space from each and returns their rows
-    (N, 5, 9) with kernel bases (N, 4, 9), building no per-instance
-    objects.  Either way a rank-deficient draw is redrawn from the same
-    generator.
+    of generators (a list, or a :class:`Streams`), draws one space from
+    each and returns their rows (N, 5, 9) with kernel bases (N, 4, 9),
+    building no per-instance objects.  Either way a rank-deficient draw is
+    redrawn from the same generator.
     """
     if not isinstance(rng, np.random.Generator):
-        return _stack(rng, _gaussian_rows, sample_unifG)
+        return _stack(rng, _normals, (5, 9), lambda raw, _: raw, sample_unifG)
     while True:
         try:
-            return LinearSpace(_gaussian_rows(rng))
+            return LinearSpace(rng.standard_normal((5, 9)))
         except RankDeficient:  # pragma: no cover - probability zero
             continue
 
@@ -181,7 +257,8 @@ def sample_psi(rng):
     returns rows and kernel bases as :func:`sample_unifG` does.
     """
     if not isinstance(rng, np.random.Generator):
-        return _stack(rng, lambda g: _pair_rows(_unit(_rp2_batch(g, 10))),
+        return _stack(rng, _normals, (10, 3),
+                      lambda raw, rngs: _pair_rows(_unit(_rp2_points(raw, rngs))),
                       lambda g: sample_psi(g)[1])
     while True:
         corr = _correspondences(_rp2_batch(rng, 10))
@@ -211,13 +288,17 @@ def sample_box(rng, boxes):
     low = np.array([(b.a, b.c) for b in boxes]).ravel()
     high = np.array([(b.b, b.d) for b in boxes]).ravel()
 
-    def points(g):
-        y = g.uniform(low, high).reshape(10, 2)
-        return np.concatenate([y, np.ones((10, 1))], axis=1)
+    def draw(g, out):
+        out[:] = g.uniform(low, high)
+
+    def points(y):
+        y = y.reshape(y.shape[:-1] + (10, 2))
+        return np.concatenate([y, np.ones(y.shape[:-1] + (1,))], axis=-1)
 
     if not isinstance(rng, np.random.Generator):
-        return _stack(rng, lambda g: _pair_rows(_unit(points(g))), _rank_deficient)
-    corr = _correspondences(points(rng))
+        return _stack(rng, draw, (20,), lambda raw, _: _pair_rows(_unit(points(raw))),
+                      _rank_deficient)
+    corr = _correspondences(points(rng.uniform(low, high)))
     return corr, linear_space_from_correspondences(corr)
 
 
@@ -235,14 +316,24 @@ def density_g(u) -> float:
     return float((norm ** 2 / v[2] ** 2) * (norm / abs(v[2])))
 
 
+_Z_SLICE = 65_536    # z-vectors mapped at a time, so the map's temporaries stay small
+
+
 def _z_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n z-vectors (n, 5): a, b, r, s drawn as four rows of n normals, then n thetas."""
+    """n z-vectors (n, 5): a, b, r, s drawn as four rows of n normals, then n thetas.
+
+    The parameters (5, n) are overwritten by their z-vectors slice by
+    slice; the result is the transposed view of that one array.
+    """
     p = np.empty((5, n))
     rng.standard_normal(out=p[:4])
     # random() scaled in place draws what uniform(0, 2 pi, n) draws, with no temporary
     rng.random(out=p[4])
     p[4] *= 2.0 * np.pi
-    return quadric_z(p.T)
+    for lo in range(0, n, _Z_SLICE):
+        part = p[:, lo:lo + _Z_SLICE]
+        part[...] = quadric_z(part.T).T
+    return p.T
 
 
 def sample_z_matrices(rng: np.random.Generator, n: int) -> np.ndarray:

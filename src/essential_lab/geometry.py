@@ -123,7 +123,12 @@ class EssentialMatrix:
 
     @classmethod
     def trusted(cls, m: np.ndarray, residual: float) -> "EssentialMatrix":
-        """Construct without re-validating; caller certifies the invariants."""
+        """Construct without re-validating; caller certifies the invariants.
+
+        The solver builds every solution it accepts this way, with the
+        residual it accepted (at most 1e-8, above the 1e-9 that the
+        validating constructor asks for).
+        """
         obj = object.__new__(cls)
         m.setflags(write=False)
         object.__setattr__(obj, "m", m)

@@ -3,9 +3,13 @@
 Samples are indexed globally, and every sample gets its own counter-based
 random stream keyed by (seed, index), so a run is reproducible bit for bit
 regardless of how many worker processes execute it.  Work is cut into
-fixed-size chunks, each sampled and solved as one stack.  Chunks return
-integer histograms; the mean and variance follow exactly from their sum,
-so no floating-point reduction order depends on the scheduling either.
+fixed-size chunks, each sampled and solved as one stack.  A chunk draws
+its instances through :class:`~essential_lab.distributions.Streams` (one
+Philox re-keyed per index, the same draws as ``rng_for``) and counts them
+with :func:`~essential_lab.solver.count_batch`, which applies the rule of
+``solve_batch`` and builds no solution objects.  Chunks return integer
+histograms; the mean and variance follow exactly from their sum, so no
+floating-point reduction order depends on the scheduling either.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import CrossCheckFailed
-from .solver import solve_batch
+from .solver import count_batch
 from .solver import solve_five_point  # noqa: F401 - perfbench traces this name
 
 CHUNK = 128            # instances per solver chunk, solved as one stack
@@ -124,12 +128,13 @@ def _sample_chunk(dist: str, rngs, boxes):
 
 
 def _solve_chunk(args):
-    """Sample and solve one chunk as a stack; returns its histogram and failure count."""
+    """Sample and count one chunk as a stack; returns its histogram and failure count."""
     dist, boxes, seed, start, length, retries = args
-    rngs = [dists.rng_for(seed, index) for index in range(start, start + length)]
-    rows, basis = _sample_chunk(dist, rngs, boxes)
-    counts = [r.real_count for r in solve_batch(rows, basis, rngs, retries) if not r.failed]
-    return np.bincount(np.asarray(counts, dtype=np.int64), minlength=11), length - len(counts)
+    streams = dists.Streams(seed, start, length)
+    rows, basis = _sample_chunk(dist, streams, boxes)
+    counted = count_batch(rows, basis, streams, retries)
+    solved = counted.count[~counted.failed]
+    return np.bincount(solved, minlength=11), length - solved.size
 
 
 def run_experiment(dist: str, n: int, seed: int, workers: int = 1,

@@ -12,9 +12,11 @@ is an even number between 0 and 10.
 
 Every stage takes a stack of instances along leading axes, and
 :func:`solve_batch` runs a whole stack through them at once;
-:func:`solve_five_point` is its one-instance case.  A stage given a single
-instance raises on failure, while in a stack the failed instances come
-back as NaN and take the retry path on their own.
+:func:`solve_five_point` is its one-instance case, and :func:`count_batch`
+applies the same rule but returns only each instance's count, failure
+reason and retries, as arrays, building no solution objects.  A stage
+given a single instance raises on failure, while in a stack the failed
+instances come back as NaN and take the retry path on their own.
 
 The module also counts real roots of determinant pencils ``det(s*A + t*B)``
 of 3x3 matrices, used for the rank-two (uncalibrated-camera) average.
@@ -39,6 +41,10 @@ REAL_IMAG_TOL = 1e-6      # |Im| threshold before refinement
 ACCEPT_RESIDUAL = 1e-8    # max residual after refinement
 DEDUP_TOL = 1e-6          # projective distance identifying duplicates
 COND_LIMIT = 1e12         # condition ceiling for the elimination block
+
+#: Failure reasons of an instance, indexed by the codes below.
+FAILURE_REASONS = ("", "elimination", "parity")
+SOLVED, ELIMINATION, PARITY = range(3)
 
 # Monomial bases.  Degree-1 basis is [x, y, z, 1]; the degree-2 basis
 # doubles as the quotient basis of the action matrix; the degree-3 basis
@@ -337,29 +343,12 @@ def _unit_residuals(w, basis, rows_unit):
     return units, np.where(ok, np.maximum(linear, cubic), np.inf)
 
 
-def _essential(unit: np.ndarray, residual: float) -> EssentialMatrix:
-    mat = (unit * np.sqrt(2.0)).reshape(3, 3)    # half-trace norm 1
-    if residual <= TOL_INVARIANT:
-        return EssentialMatrix.trusted(mat, residual)
-    return EssentialMatrix(mat)
+def _validate(candidates, space, basis, constraint=None):
+    """The array core of :func:`validate_and_count`.
 
-
-def validate_and_count(candidates, space, basis, constraint=None, retries=0):
-    """Filter, refine and deduplicate candidate solutions.
-
-    Keeps candidates whose imaginary parts are below 1e-6 and accepts a
-    solution when the unit-normalized matrix satisfies the five (unit-row)
-    linear equations and the ten cubics to 1e-8; only a candidate that
-    misses 1e-9 before is refined by Gauss-Newton first.  Duplicates
-    closer than 1e-6 in the projective metric are merged, in candidate
-    order.  An odd surviving count is reported as status "failed" with
-    reason "parity" so the caller can re-randomize the chart and retry.
-
-    For a stack, ``basis`` is (N, 4, 9), ``space`` holds the rows
-    (N, 5, 9), the candidates are split evenly among the instances, and
-    ``retries`` may give one count per instance; the result is a
-    :class:`CountResults`.  An instance whose eigenvalues are NaN (its
-    elimination or eigen-iteration failed) fails with reason "elimination".
+    Returns, per instance, whether its eigenvalues are NaN (``broken``),
+    and per candidate whether it is accepted and not a duplicate
+    (``kept``), its unit solution vector and its residual.
     """
     basis = np.asarray(basis, dtype=float)
     charts = basis.reshape(-1, 4, 9)
@@ -378,12 +367,15 @@ def validate_and_count(candidates, space, basis, constraint=None, retries=0):
     if constraint is None:
         constraint = build_constraint_matrix(charts)
     constraint = np.asarray(constraint, dtype=float).reshape(n, 10, 20)
-    retries = np.broadcast_to(np.asarray(retries, dtype=np.int64), (n,))
 
     finite = np.all(np.isfinite(triples), axis=2)
     realish = finite & (np.max(np.abs(triples.imag), axis=2) <= REAL_IMAG_TOL)
-    w = np.where(realish[..., None], triples.real, 0.0)
-    units, residuals = _unit_residuals(w, charts[:, None], rows_unit[:, None])
+    w = triples.real
+    units = np.zeros(realish.shape + (9,))
+    residuals = np.full(realish.shape, np.inf)
+    real = np.nonzero(realish)
+    units[real], residuals[real] = _unit_residuals(w[real], charts[real[0]],
+                                                   rows_unit[real[0]])
     redo = np.nonzero(realish & ~(residuals <= TOL_INVARIANT))
     if redo[0].size:
         owner = redo[0]
@@ -405,6 +397,32 @@ def validate_and_count(candidates, space, basis, constraint=None, retries=0):
                 kept[i, j] = False
             else:
                 vectors.append(unit)
+    return broken, kept, units, residuals
+
+
+def validate_and_count(candidates, space, basis, constraint=None, retries=0):
+    """Filter, refine and deduplicate candidate solutions.
+
+    Keeps candidates whose imaginary parts are below 1e-6 and accepts a
+    solution when the unit-normalized matrix satisfies the five (unit-row)
+    linear equations and the ten cubics to 1e-8; only a candidate that
+    misses 1e-9 before is refined by Gauss-Newton first.  Duplicates
+    closer than 1e-6 in the projective metric are merged, in candidate
+    order.  An odd surviving count is reported as status "failed" with
+    reason "parity" so the caller can re-randomize the chart and retry.
+    Every accepted solution becomes an :class:`EssentialMatrix` through
+    ``EssentialMatrix.trusted`` with the residual it was accepted at, so
+    a solution is returned for each one counted.
+
+    For a stack, ``basis`` is (N, 4, 9), ``space`` holds the rows
+    (N, 5, 9), the candidates are split evenly among the instances, and
+    ``retries`` may give one count per instance; the result is a
+    :class:`CountResults`.  An instance whose eigenvalues are NaN (its
+    elimination or eigen-iteration failed) fails with reason "elimination".
+    """
+    broken, kept, units, residuals = _validate(candidates, space, basis, constraint)
+    n = kept.shape[0]
+    retries = np.zeros(n, dtype=np.int64) + retries
     counts = kept.sum(axis=1)
     residual_max = np.max(np.where(kept, residuals, 0.0), axis=1, initial=0.0)
 
@@ -417,12 +435,90 @@ def validate_and_count(candidates, space, basis, constraint=None, retries=0):
             results.append(CountResult(int(counts[i]), (), "failed", tries, "parity",
                                        float(residual_max[i])))
         else:
-            solutions = tuple(_essential(units[i, j], residuals[i, j])
-                              for j in np.flatnonzero(kept[i]))
+            mats = units[i, kept[i]] * np.sqrt(2.0)     # half-trace norm 1
+            solutions = tuple(EssentialMatrix.trusted(mat.reshape(3, 3), residual)
+                              for mat, residual in zip(mats, residuals[i, kept[i]]))
             results.append(CountResult(len(solutions), solutions,
                                        "retried" if tries else "ok", tries, "",
                                        float(residual_max[i])))
-    return results[0] if basis.ndim == 2 else CountResults(results)
+    return results[0] if np.ndim(basis) == 2 else CountResults(results)
+
+
+def _solve_rounds(rows, basis, rngs, retries, validate):
+    """The retry loop shared by :func:`solve_batch` and :func:`count_batch`.
+
+    Runs every stage on the whole stack, then again on the instances that
+    failed, each on a new chart drawn from its own generator, until every
+    instance is solved or out of retries.  ``validate(candidates, rows,
+    charts, constraint, mixes)`` judges one round: it returns the reason
+    codes of the round's instances, then their counts and their results,
+    either of which may be None.  Returns the final reason, count (0 for a
+    failure), retries and result of every instance.
+    """
+    rows = np.asarray(rows, dtype=float)
+    basis = np.asarray(basis, dtype=float)
+    n = basis.shape[0]
+    charts = basis.copy()
+    mixes = np.zeros(n, dtype=np.int64)
+    parity_used = np.zeros(n, dtype=bool)
+    reason = np.zeros(n, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    results = [None] * n
+    todo = np.arange(n)
+    while todo.size:
+        constraint = build_constraint_matrix(charts[todo])
+        codes, counts, judged = validate(eigen_candidates(action_matrix(constraint)),
+                                         rows[todo], charts[todo], constraint, mixes[todo])
+        reason[todo] = codes
+        if counts is not None:
+            count[todo] = counts
+        if judged is not None:
+            for i, result in zip(todo, judged):
+                results[i] = result
+        todo = todo[codes != SOLVED]
+        if todo.size:
+            parity = reason[todo] == PARITY
+            todo = todo[(mixes[todo] < retries) & ~(parity & parity_used[todo])]
+            parity_used[todo] |= reason[todo] == PARITY
+            mixes[todo] += 1
+            for i in todo:
+                charts[i] = _haar_o4(rngs[i]) @ basis[i]
+    count[reason != SOLVED] = 0
+    return reason, count, mixes, results
+
+
+def _judge_counts(candidates, rows, charts, constraint, mixes):
+    broken, kept, _, _ = _validate(candidates, rows, charts, constraint)
+    counts = kept.sum(axis=1)
+    return np.where(broken, ELIMINATION, np.where(counts % 2, PARITY, SOLVED)), counts, None
+
+
+def _judge_results(candidates, rows, charts, constraint, mixes):
+    judged = validate_and_count(candidates, rows, charts, constraint, retries=mixes)
+    return np.array([FAILURE_REASONS.index(r.reason) for r in judged]), None, judged
+
+
+class StackCounts(NamedTuple):
+    """Outcome of every instance of a stack, as arrays (see :func:`count_batch`)."""
+
+    count: np.ndarray     # real solutions; 0 for a failed instance
+    reason: np.ndarray    # index into FAILURE_REASONS; SOLVED (0) unless failed
+    retries: np.ndarray   # charts re-randomized
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.reason != SOLVED
+
+
+def count_batch(rows, basis, rngs, retries: int = 5) -> StackCounts:
+    """:func:`solve_batch` reduced to counts: the same rule, no solution objects.
+
+    Each instance's count, failure reason and retries are those of its
+    :class:`CountResult` from :func:`solve_batch` on the same input and
+    generators (a failed instance counts 0).
+    """
+    reason, count, mixes, _ = _solve_rounds(rows, basis, rngs, retries, _judge_counts)
+    return StackCounts(count, reason, mixes)
 
 
 def solve_batch(rows, basis, rngs, retries: int = 5) -> CountResults:
@@ -438,34 +534,11 @@ def solve_batch(rows, basis, rngs, retries: int = 5) -> CountResults:
     stages together, so each instance gets the count, status and retries
     it gets alone.
     """
-    rows = np.asarray(rows, dtype=float)
-    basis = np.asarray(basis, dtype=float)
-    n = basis.shape[0]
-    charts = basis.copy()
-    mixes = np.zeros(n, dtype=np.int64)
-    parity_used = np.zeros(n, dtype=bool)
-    results = [None] * n
-    todo = np.arange(n)
-    while todo.size:
-        constraint = build_constraint_matrix(charts[todo])
-        counted = validate_and_count(eigen_candidates(action_matrix(constraint)),
-                                     rows[todo], charts[todo], constraint,
-                                     retries=mixes[todo])
-        again = []
-        for i, result in zip(todo, counted):
-            if not result.failed:
-                results[i] = result
-                continue
-            parity = result.reason == "parity"
-            if mixes[i] >= retries or (parity and parity_used[i]):
-                results[i] = CountResult(0, (), "failed", int(mixes[i]), result.reason, 0.0)
-                continue
-            parity_used[i] |= parity
-            mixes[i] += 1
-            charts[i] = _haar_o4(rngs[i]) @ basis[i]
-            again.append(i)
-        todo = np.array(again, dtype=np.int64)
-    return CountResults(results)
+    reason, _, mixes, results = _solve_rounds(rows, basis, rngs, retries, _judge_results)
+    return CountResults(
+        result if code == SOLVED
+        else CountResult(0, (), "failed", int(tries), FAILURE_REASONS[code], 0.0)
+        for code, tries, result in zip(reason, mixes, results))
 
 
 def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountResult:

@@ -41,9 +41,11 @@ def det_10m():
 def test_criterion_01_rotation_invariant_mean(unifg_100k):
     rep = unifg_100k
     odd_bins = [rep.histogram[k] for k in (1, 3, 5, 7, 9)]
+    se = math.sqrt(rep.variance / (rep.n - rep.failures))
     ok = (3.90 <= rep.mean <= 4.10 and all(b == 0 for b in odd_bins)
-          and rep.failures < 0.001 * rep.n)
-    _report(1, ok, f"mean={rep.mean:.4f} in [3.90, 4.10], odd bins {odd_bins}, "
+          and rep.failures < 0.001 * rep.n and abs(rep.mean - 4.0) <= 4.0 * se)
+    _report(1, ok, f"mean={rep.mean:.4f} in [3.90, 4.10] and within 4 se "
+                   f"({4.0 * se:.4f}) of the exact 4, odd bins {odd_bins}, "
                    f"failures={rep.failures}/{rep.n}")
 
 
@@ -69,7 +71,7 @@ def test_criterion_04_cross_check(psi_crosscheck_100k):
 
 
 def test_criterion_05_rank_two_pencil_average():
-    total = 0
+    total = squares = 0
     n = 1_000_000
     chunk = 100_000
     for index in range(n // chunk):
@@ -77,9 +79,12 @@ def test_criterion_05_rank_two_pencil_average():
         counts = sv.pencil_real_root_counts(rng.standard_normal((chunk, 3, 3)),
                                             rng.standard_normal((chunk, 3, 3)))
         total += int(counts.sum())
+        squares += int((counts * counts).sum())
     mean = total / n
-    ok = 1.99 <= mean <= 2.01
-    _report(5, ok, f"pencil mean={mean:.4f} in [1.99, 2.01] over 1e6 draws")
+    se = math.sqrt((n * squares - total * total) / (n * (n - 1)) / n)
+    ok = 1.99 <= mean <= 2.01 and abs(mean - 2.0) <= 4.0 * se
+    _report(5, ok, f"pencil mean={mean:.4f} in [1.99, 2.01] and within 4 se "
+                   f"({4.0 * se:.4f}) of the exact 2 over 1e6 draws")
 
 
 def test_criterion_06_box_experiment():

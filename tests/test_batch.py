@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from essential_lab import distributions as dist
+from essential_lab import montecarlo as mc
 from essential_lab import solver as sv
 from essential_lab.errors import EliminationFailed, RankDeficient
+from essential_lab.geometry import EssentialMatrix
 
 from oracles import planted_instance, projective_distance
 
@@ -56,22 +58,56 @@ def forced_retry_instance(rng):
     return rows, basis
 
 
+def sample(kind, rng):
+    """A stack (rows, basis) from a sequence of generators, or one LinearSpace."""
+    if kind == "unifG":
+        return dist.sample_unifG(rng)
+    drawn = dist.sample_psi(rng) if kind == "psi" else dist.sample_box(rng, BOXES55)
+    return drawn[1] if isinstance(rng, np.random.Generator) else drawn
+
+
+def solo_outcome(result):
+    """(count, reason, retries) of a CountResult, as count_batch reports them."""
+    return (0 if result.failed else result.real_count, result.reason, result.retries)
+
+
+def counted_outcome(counted, i):
+    """(count, reason, retries) of instance i of a count_batch result."""
+    return (int(counted.count[i]), sv.FAILURE_REASONS[counted.reason[i]],
+            int(counted.retries[i]))
+
+
 class TestStackedSampling:
     @pytest.mark.parametrize("kind", ["unifG", "psi", "box"])
     def test_stack_draws_what_each_generator_draws_alone(self, kind):
-        def draw(rng):
-            if kind == "unifG":
-                return dist.sample_unifG(rng)
-            if kind == "psi":
-                return dist.sample_psi(rng)
-            return dist.sample_box(rng, BOXES55)
-
-        rows, basis = draw([dist.rng_for(9, i) for i in range(40)])
+        rows, basis = sample(kind, [dist.rng_for(9, i) for i in range(40)])
         for i in range(40):
-            space = draw(dist.rng_for(9, i))
-            space = space if kind == "unifG" else space[1]
+            space = sample(kind, dist.rng_for(9, i))
             assert np.array_equal(rows[i], space.rows)
             assert np.array_equal(basis[i], space.basis)
+
+    @pytest.mark.parametrize("kind", ["unifG", "psi", "box"])
+    def test_streams_draw_what_their_generators_draw(self, kind):
+        streams = dist.Streams(9, 1000, 40)
+        rows, basis = sample(kind, streams)
+        rngs = [dist.rng_for(9, 1000 + i) for i in range(40)]
+        expected_rows, expected_basis = sample(kind, rngs)
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(basis, expected_basis)
+        for i in (0, 17, 39):
+            assert np.array_equal(streams[i].standard_normal(4), rngs[i].standard_normal(4))
+
+    def test_short_vectors_are_redrawn_from_their_own_stream(self):
+        streams = dist.Streams(12, 0, 4)
+        raw = streams.fill(dist._normals, np.empty((4, 10, 3)))
+        raw[2, 5] = 0.0
+        points = dist._rp2_points(raw.copy(), streams)
+        alone = dist.rng_for(12, 2)
+        first = alone.standard_normal((10, 3))
+        first[5] = alone.standard_normal(3)
+        expected = dist._rp2_points(first[None], [alone])[0]
+        assert np.array_equal(points[2], expected)
+        assert np.array_equal(streams[2].standard_normal(4), alone.standard_normal(4))
 
     def test_degenerate_boxes_raise_in_a_stack(self):
         tiny = [dist.BoxSpec(0.0, 1e-30, 0.0, 1e-30)] * 10
@@ -106,6 +142,81 @@ class TestSolveBatch:
                 assert all(r.status == "retried" for r in retried)
             else:
                 assert all(r.reason == "elimination" for r in retried)
+
+    def test_streams_chunk_with_forced_retries_matches_solo_results(self):
+        seed, n, forced = 41, 12, [1, 6, 11]
+        streams = dist.Streams(seed, 0, n)
+        rows, basis = dist.sample_psi(streams)
+        rng = np.random.default_rng(5)
+        for i in forced:
+            rows[i], basis[i] = forced_retry_instance(rng)
+        counted = sv.count_batch(rows, basis, streams)
+        assert np.all(counted.retries[forced] > 0) and not counted.failed.any()
+        rngs = [dist.rng_for(seed, i) for i in range(n)]
+        dist.sample_psi(rngs)
+        solved = sv.solve_batch(rows, basis, rngs)
+        replayed = dist.Streams(seed, 0, n)
+        dist.sample_psi(replayed)
+        # the new charts come from each instance's own stream, at the same position
+        for a, b in zip(solved, sv.solve_batch(rows, basis, replayed)):
+            assert all(np.array_equal(x.m, y.m) for x, y in zip(a.solutions, b.solutions))
+        for i, result in enumerate(solved):
+            alone = dist.rng_for(seed, i)
+            dist.sample_psi(alone)
+            assert_same_result(sv.solve_batch(rows[i:i + 1], basis[i:i + 1], [alone])[0],
+                               result)
+            assert counted_outcome(counted, i) == solo_outcome(result)
+
+    @pytest.mark.parametrize("kind", ["unifG", "psi"])
+    def test_rank_deficient_draws_are_redrawn_from_their_own_stream(self, kind, monkeypatch):
+        seed, n, forced = 31, 10, (2, 7)
+        first = {sample(kind, [dist.rng_for(seed, i)])[0][0].tobytes() for i in forced}
+        nullspace = sv.nullspace_basis
+
+        def rank_deficient_first_draws(rows):
+            rows = np.asarray(rows, dtype=float)
+            hit = np.array([r.tobytes() in first for r in rows.reshape(-1, 5, 9)])
+            if rows.ndim == 2 and hit[0]:
+                raise RankDeficient("forced")
+            return np.where(hit.reshape(rows.shape[:-2] + (1, 1)), np.nan, nullspace(rows))
+
+        monkeypatch.setattr(sv, "nullspace_basis", rank_deficient_first_draws)
+        monkeypatch.setattr(dist, "nullspace_basis", rank_deficient_first_draws)
+        streams = dist.Streams(seed, 0, n)
+        rows, basis = sample(kind, streams)
+        counted = sv.count_batch(rows, basis, streams)
+        for i in range(n):
+            alone = dist.rng_for(seed, i)
+            space = sample(kind, alone)
+            assert np.array_equal(rows[i], space.rows) and np.array_equal(basis[i], space.basis)
+            assert rows[i].tobytes() not in first
+            result = sv.solve_batch(space.rows[None], space.basis[None], [alone])[0]
+            assert counted_outcome(counted, i) == solo_outcome(result)
+            assert np.array_equal(streams[i].standard_normal(4), alone.standard_normal(4))
+
+    def test_count_batch_counts_what_solve_batch_returns(self):
+        rows, basis = corpus(per_kind=30)
+        rng = np.random.default_rng(8)
+        forced = [forced_retry_instance(rng) for _ in range(3)]
+        rows = np.concatenate([rows, [r for r, _ in forced]])
+        basis = np.concatenate([basis, [b for _, b in forced]])
+        for retries in (5, 0):
+            counted = sv.count_batch(rows, basis, chart_generators(len(rows)), retries)
+            solved = sv.solve_batch(rows, basis, chart_generators(len(rows)), retries)
+            assert [counted_outcome(counted, i) for i in range(len(rows))] == \
+                [solo_outcome(result) for result in solved]
+
+    def test_experiments_build_no_essential_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an EssentialMatrix was built")
+
+        monkeypatch.setattr(EssentialMatrix, "trusted", classmethod(refuse))
+        monkeypatch.setattr(EssentialMatrix, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            sv.solve_five_point(dist.sample_unifG(dist.rng_for(1, 0)))
+        for kind, boxes in (("unifG", None), ("psi", None), ("box", BOXES55)):
+            report = mc.run_experiment(kind, 300, 2, boxes=boxes)
+            assert sum(report.histogram) + report.failures == 300
 
     def test_stage_failures_come_back_as_nan_in_a_stack(self):
         rng = np.random.default_rng(6)

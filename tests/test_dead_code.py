@@ -7,8 +7,12 @@ strings) or in pyproject.toml.  Imports and docstrings do not count.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
+
+import essential_lab
+from essential_lab import cli, distributions, geometry, montecarlo, solver, verify, zonoid  # noqa: F401
 
 ROOT = Path(__file__).resolve().parent.parent
 WORD = re.compile(r"[A-Za-z_]\w*")
@@ -97,3 +101,13 @@ def test_an_unused_definition_is_found(tmp_path):
     )
     assert sorted(unused_definitions(tmp_path)) == [
         "mod.Spare", "mod.Spare.unnamed", "mod.recursive"]
+
+
+def test_traced_entry_points_exist():
+    """Every attribute the benchmark's tracer wraps is defined where it looks for it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in spans._targets(essential_lab) if attr not in owner.__dict__]
+    assert not missing

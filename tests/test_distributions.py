@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, ks_2samp
 
 from essential_lab import distributions as dist
@@ -10,6 +12,17 @@ from essential_lab.geometry import E0, half_trace_norm
 from oracles import box_weight, mh_box_chain_loop, quaternion_rotation_sample
 
 BOXES55 = [dist.BoxSpec(-5.0, 5.0, -5.0, 5.0)] * 10
+LOW = np.array([-1.0, 0.0, 2.0])
+HIGH = np.array([1.0, 5.0, 2.5])
+
+
+def every_kind_of_draw(rng, out):
+    """Normals into a slot, uniforms, uniforms with array bounds, then integers."""
+    rng.standard_normal(out=out[:4])
+    out[4:6] = rng.random(2)
+    out[6:9] = rng.uniform(LOW, HIGH)
+    out[9:12] = rng.integers(0, 1000, 3)     # three 32-bit draws leave half a word buffered
+    out[12] = rng.integers(-2 ** 40, 2 ** 40)
 
 
 class TestRngFor:
@@ -24,6 +37,21 @@ class TestRngFor:
         c = dist.rng_for(8, 3).standard_normal(4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @given(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70))
+    @example(-1, 2 ** 64 - 2)
+    @example(2 ** 64 + 3, -(2 ** 64))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_streams_draw_what_rng_for_draws(self, seed, start):
+        streams = dist.Streams(seed, start, 3)
+        drawn = streams.fill(every_kind_of_draw, np.empty((3, 13)))
+        for i in range(3):
+            alone = dist.rng_for(seed, start + i)
+            expected = np.empty(13)
+            every_kind_of_draw(alone, expected)
+            assert np.array_equal(drawn[i], expected)
+            # an instance's own generator continues where rng_for's does
+            assert np.array_equal(streams[i].standard_normal(4), alone.standard_normal(4))
 
 
 class TestRotationSampler:
@@ -282,14 +310,12 @@ class TestUnifGInvariance:
         n = unifg_100k.n
         hist = np.zeros(11, dtype=np.int64)
         for start in range(0, n, 1000):
-            rngs = [dist.rng_for(unifg_100k.seed + 1_000_003, index)
-                    for index in range(start, min(start + 1000, n))]
-            rows = np.stack([rng.standard_normal((5, 9)) @ q for rng in rngs])
+            streams = dist.Streams(unifg_100k.seed + 1_000_003, start, min(1000, n - start))
+            rows = streams.fill(dist._normals, np.empty((len(streams), 5, 9))) @ q
             basis = sv.nullspace_basis(rows)
             assert not np.isnan(basis).any()
-            for result in sv.solve_batch(rows, basis, rngs):
-                if not result.failed:
-                    hist[result.real_count] += 1
+            counted = sv.count_batch(rows, basis, streams)
+            hist += np.bincount(counted.count[~counted.failed], minlength=11)
         base = np.array(unifg_100k.histogram)[[0, 2, 4, 6, 8, 10]]
         rotated = hist[[0, 2, 4, 6, 8, 10]]
         table = np.stack([base, rotated])

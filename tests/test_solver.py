@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from essential_lab import distributions as dist
 from essential_lab import solver as sv
 from essential_lab.errors import DegeneratePencil, EliminationFailed, RankDeficient
 from essential_lab.geometry import demazure_residuals
@@ -212,6 +213,23 @@ class TestValidateAndSolve:
         assert first.retries == second.retries
         for a, b in zip(first.solutions, second.solutions):
             assert np.array_equal(a.m, b.m)
+
+    def test_candidates_accepted_above_1e9_are_returned_as_solutions(self):
+        space = dist.sample_unifG(dist.rng_for(5, 0))
+        basis = sv.nullspace_basis(space)
+        cands = sv.eigen_candidates(sv.action_matrix(sv.build_constraint_matrix(basis)))
+        reals = cands.triples[np.abs(cands.triples.imag).max(axis=1) <= 1e-6].real
+        shifted = reals[:2] + 2.1e-9
+        # a zero constraint matrix makes Gauss-Newton a no-op, so the shift stays
+        zero = np.zeros((10, 20))
+        result = sv.validate_and_count(shifted, space, basis, zero)
+        residuals = sorted(s.residual for s in result.solutions)
+        assert result.status == "ok" and result.real_count == len(result.solutions) == 2
+        assert residuals[0] == pytest.approx(1.0e-9, rel=0.05)
+        assert residuals[1] == pytest.approx(3.0e-9, rel=0.05)
+        assert result.residual_max == residuals[1]
+        _, kept, _, _ = sv._validate(shifted, space, basis, zero)
+        assert int(kept.sum()) == result.real_count
 
     def test_validate_reports_parity_failure(self):
         rng = np.random.default_rng(16)
