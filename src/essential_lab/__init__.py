@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AssertionFailure,
-    ChartSingularity,
     CrossCheckFailed,
     DegenerateInput,
     DegeneratePencil,
@@ -43,9 +42,9 @@ from .solver import (
 
 __all__ = [
     "__version__",
-    "AssertionFailure", "ChartSingularity", "CrossCheckFailed", "DegenerateInput",
-    "DegeneratePencil", "DomainError", "EigenNoConvergence", "EliminationFailed",
-    "EssentialLabError", "RankDeficient",
+    "AssertionFailure", "CrossCheckFailed", "DegenerateInput", "DegeneratePencil",
+    "DomainError", "EigenNoConvergence", "EliminationFailed", "EssentialLabError",
+    "RankDeficient",
     "E0", "EssentialMatrix", "ProjectivePoint2", "Rotation", "UnitVec3",
     "cross_matrix", "demazure_residuals", "essential_from_pose",
     "half_trace_inner", "recover_poses", "tangent_basis_E0", "twisted_pair",

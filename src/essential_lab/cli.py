@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import secrets
 import sys
 
@@ -46,8 +45,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="essential-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_workers = int(os.environ.get("ESSENTIAL_LAB_THREADS", "1"))
-
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("--input", required=True, help="instance JSON path")
     solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -60,7 +57,7 @@ def _build_parser() -> _Parser:
     exp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     exp.add_argument("--entropy", action="store_true",
                      help="use a fresh random seed instead of the fixed default")
-    exp.add_argument("--workers", type=int, default=default_workers)
+    exp.add_argument("--workers", type=int, default=1)
     exp.add_argument("--boxes", default=None, help="JSON file with box config")
     exp.add_argument("--out", default=None)
     exp.add_argument("--format", choices=["json", "csv"], default="json")

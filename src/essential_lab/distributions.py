@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartSingularity, RankDeficient
-from .geometry import E0, EssentialMatrix, ProjectivePoint2, Rotation
+from .errors import RankDeficient
+from .geometry import ProjectivePoint2
 from .solver import LinearSpace, nullspace_basis
 
 VOL_RP2 = 2.0 * np.pi   # Riemannian area of the projective plane
@@ -159,16 +159,6 @@ def haar_rotations(gauss: np.ndarray) -> np.ndarray:
     flip = np.linalg.det(q) < 0
     q[flip, :, 2] *= -1.0
     return q
-
-
-def sample_rotation(rng: np.random.Generator) -> Rotation:
-    """Haar-distributed rotation (QR of a Gaussian matrix, det-corrected)."""
-    return Rotation(_rotations(rng, 1)[0])
-
-
-def sample_rp2(rng: np.random.Generator) -> ProjectivePoint2:
-    """Uniform point of the projective plane (normalized Gaussian vector)."""
-    return ProjectivePoint2(_rp2_batch(rng, 1)[0])
 
 
 def _rp2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -302,20 +292,6 @@ def sample_box(rng, boxes):
     return corr, linear_space_from_correspondences(corr)
 
 
-def density_g(u) -> float:
-    """Chart density factor of a box-uniform point relative to the plane.
-
-    For a representative u this is ``(|u|^2 / u3^2) / cos(alpha)`` with
-    ``alpha`` the angle between u and the chart axis e3; scale-invariant,
-    and equal to ``1 / |u3|^3`` for unit representatives.
-    """
-    v = u.v if isinstance(u, ProjectivePoint2) else np.asarray(u, dtype=float).reshape(3)
-    norm = np.linalg.norm(v)
-    if abs(v[2]) <= 1e-12 * norm:
-        raise ChartSingularity("point lies on the chart boundary u3 = 0")
-    return float((norm ** 2 / v[2] ** 2) * (norm / abs(v[2])))
-
-
 _Z_SLICE = 65_536    # z-vectors mapped at a time, so the map's temporaries stay small
 
 
@@ -339,18 +315,6 @@ def _z_batch(rng: np.random.Generator, n: int) -> np.ndarray:
 def sample_z_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
     """n matrices (n, 5, 5) with i.i.d. z-vector columns."""
     return _z_batch(rng, 5 * n).reshape(n, 5, 5).transpose(0, 2, 1)
-
-
-def sample_essential_uniform(rng: np.random.Generator):
-    """Uniform point of the unit essential variety with its witnesses.
-
-    Draws Haar rotations (U, V) and returns ``(U E0 V^T, U, V)``; the
-    transitive two-sided rotation action makes the pushforward the
-    invariant probability measure.
-    """
-    u, v = _rotations(rng, 2)
-    e = EssentialMatrix(u @ E0 @ v.T)
-    return e, Rotation(u), Rotation(v)
 
 
 def quadric_draw(rng: np.random.Generator, shape) -> np.ndarray:

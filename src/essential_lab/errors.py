@@ -28,10 +28,6 @@ class DegeneratePencil(EssentialLabError):
     """det(s*A + t*B) vanishes identically."""
 
 
-class ChartSingularity(EssentialLabError):
-    """Point lies on (or too close to) the chart boundary u3 = 0."""
-
-
 class DomainError(EssentialLabError):
     """Argument outside the mathematical domain of a special function."""
 

@@ -1,4 +1,4 @@
-"""Experiment orchestration: batch solves, streaming statistics, estimators.
+"""Experiment orchestration: batch solves, chunk statistics, estimators.
 
 Samples are indexed globally, and every sample gets its own counter-based
 random stream keyed by (seed, index), so a run is reproducible bit for bit
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -38,41 +38,25 @@ DET_TO_COUNT = math.pi ** 3 / 4.0
 VOL_ESSENTIAL = 2.0 * math.pi ** 3
 
 
-@dataclass
-class StreamStats:
-    """Mergeable summary statistics: count, mean and sum of squared deviations."""
+def mean_stderr(chunks):
+    """Mean and standard error of the values in an iterable of arrays, along axis 0.
 
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def merge(self, other: "StreamStats") -> "StreamStats":
-        if other.count == 0:
-            return replace(self)
-        if self.count == 0:
-            return replace(other)
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / n
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / n
-        return StreamStats(n, mean, m2)
-
-    @classmethod
-    def from_values(cls, values) -> "StreamStats":
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return cls()
-        mean = float(values.mean())
-        m2 = float(np.sum((values - mean) ** 2))
-        return cls(values.size, mean, m2)
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stderr(self) -> float:
-        return math.sqrt(self.variance / self.count) if self.count else math.inf
+    Sums of d = x - c and of d^2 are taken chunk by chunk, with c the mean
+    of the first chunk, so that the spread is not lost to cancellation.
+    One-dimensional chunks give two floats; chunks (m, k) give two lists
+    of k values.
+    """
+    n, shift = 0, None
+    for x in chunks:
+        if shift is None:
+            shift, total, squares = x.mean(axis=0), 0.0, 0.0
+        d = x - shift
+        n += len(d)
+        total, squares = total + d.sum(axis=0), squares + (d * d).sum(axis=0)
+        del x, d        # freed before the next chunk is drawn, which sets the peak memory
+    mean = total / n
+    variance = np.maximum(squares - n * mean * mean, 0.0) / max(n - 1, 1)
+    return (shift + mean).tolist(), np.sqrt(variance / n).tolist()
 
 
 @dataclass
@@ -192,7 +176,7 @@ def run_experiment(dist: str, n: int, seed: int, workers: int = 1,
 
 @dataclass
 class DetEstimate:
-    """Streaming summary of the determinant ensemble."""
+    """Summary of the determinant ensemble."""
 
     n: int
     seed: int
@@ -204,47 +188,35 @@ class DetEstimate:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "mean_abs_det": self.mean_abs_det,
-            "second_moment": self.second_moment,
-            "derived_mean": self.derived_mean,
-            "se_mean": self.se_mean,
-            "se_second": self.se_second,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def estimate_abs_det(n: int, seed: int) -> DetEstimate:
     """Average absolute determinant of matrices with i.i.d. z-vector columns.
 
-    Returns the streaming mean of ``|det|`` and of ``det^2`` together with
+    Returns the mean of ``|det|`` and of ``det^2`` over chunks of
+    ``DET_CHUNK`` draws, chunk i from ``rng_for(seed, i)``, together with
     the derived mean solution count ``pi^3/4 * mean(|det|)``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
-    abs_stats = StreamStats()
-    sq_stats = StreamStats()
-    done = 0
-    chunk_index = 0
-    while done < n:
-        m = min(DET_CHUNK, n - done)
-        rng = dists.rng_for(seed, chunk_index)
-        dets = np.abs(np.linalg.det(dists.sample_z_matrices(rng, m)))
-        abs_stats = abs_stats.merge(StreamStats.from_values(dets))
-        sq_stats = sq_stats.merge(StreamStats.from_values(dets * dets))
-        done += m
-        chunk_index += 1
+
+    def chunks():
+        for index, start in enumerate(range(0, n, DET_CHUNK)):
+            rng = dists.rng_for(seed, index)
+            dets = np.abs(np.linalg.det(dists.sample_z_matrices(rng, min(DET_CHUNK, n - start))))
+            yield np.stack([dets, dets * dets], axis=1)
+
+    (mean, second), (se_mean, se_second) = mean_stderr(chunks())
     return DetEstimate(
         n=n,
         seed=seed,
-        mean_abs_det=abs_stats.mean,
-        second_moment=sq_stats.mean,
-        derived_mean=DET_TO_COUNT * abs_stats.mean,
-        se_mean=abs_stats.stderr,
-        se_second=sq_stats.stderr,
+        mean_abs_det=mean,
+        second_moment=second,
+        derived_mean=DET_TO_COUNT * mean,
+        se_mean=se_mean,
+        se_second=se_second,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -260,8 +232,7 @@ class IntegralEstimate:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "seed": self.seed, "estimate": self.estimate,
-                "se": self.se, "wall_time": self.wall_time}
+        return asdict(self)
 
 
 def estimate_count_integral(n: int, seed: int, boxes=None) -> IntegralEstimate:
@@ -277,21 +248,19 @@ def estimate_count_integral(n: int, seed: int, boxes=None) -> IntegralEstimate:
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
-    stats = StreamStats()
-    done = 0
-    chunk_index = 0
-    chunk = 50_000
-    while done < n:
-        m = min(chunk, n - done)
-        p, points = dists.rotated_quadric_draw(dists.rng_for(seed, chunk_index), m)
-        # columns of Z are the five z-vectors
-        dets = np.abs(np.linalg.det(np.swapaxes(dists.quadric_z(p), 1, 2)))
-        weights = 1.0 if boxes is None else dists.box_weights(points, boxes)
-        stats = stats.merge(StreamStats.from_values((VOL_ESSENTIAL / 8.0) * weights * dets))
-        done += m
-        chunk_index += 1
-    return IntegralEstimate(n=n, seed=seed, estimate=stats.mean, se=stats.stderr,
-                         wall_time=time.perf_counter() - t0)
+
+    def chunks():
+        for index, start in enumerate(range(0, n, 50_000)):
+            p, points = dists.rotated_quadric_draw(dists.rng_for(seed, index),
+                                                   min(50_000, n - start))
+            # columns of Z are the five z-vectors
+            dets = np.abs(np.linalg.det(np.swapaxes(dists.quadric_z(p), 1, 2)))
+            weights = 1.0 if boxes is None else dists.box_weights(points, boxes)
+            yield (VOL_ESSENTIAL / 8.0) * weights * dets
+
+    estimate, se = mean_stderr(chunks())
+    return IntegralEstimate(n=n, seed=seed, estimate=estimate, se=se,
+                            wall_time=time.perf_counter() - t0)
 
 
 @dataclass
@@ -300,23 +269,24 @@ class CrossCheck:
 
     solver_report: ExperimentReport
     det_estimate: DetEstimate
+    solver_se: float
+    det_se: float
     gap: float
     tolerance: float
 
     def to_dict(self) -> dict:
         return {
             "solver_mean": self.solver_report.mean,
-            "solver_se": math.sqrt(self.solver_report.variance /
-                                   max(self.solver_report.n - self.solver_report.failures, 1)),
+            "solver_se": self.solver_se,
             "det_mean": self.det_estimate.derived_mean,
-            "det_se": DET_TO_COUNT * self.det_estimate.se_mean,
+            "det_se": self.det_se,
             "gap": self.gap,
             "tolerance": self.tolerance,
         }
 
 
 def cross_check_determinant_mean(n_solver: int, n_det: int, seed: int,
-                         workers: int = 1) -> CrossCheck:
+                                 workers: int = 1) -> CrossCheck:
     """Check that the solver mean matches the determinant-based mean.
 
     The two estimates target the same quantity; the check requires the gap
@@ -326,11 +296,11 @@ def cross_check_determinant_mean(n_solver: int, n_det: int, seed: int,
     solver_report = run_experiment("psi", n_solver, seed, workers=workers)
     det = estimate_abs_det(n_det, seed + 1)
     solved = max(solver_report.n - solver_report.failures, 1)
-    se_solver = math.sqrt(solver_report.variance / solved)
-    se_det = DET_TO_COUNT * det.se_mean
+    solver_se = math.sqrt(solver_report.variance / solved)
+    det_se = DET_TO_COUNT * det.se_mean
     gap = abs(solver_report.mean - det.derived_mean)
-    tolerance = 3.0 * (se_solver + se_det)
-    check = CrossCheck(solver_report, det, gap, tolerance)
+    tolerance = 3.0 * (solver_se + det_se)
+    check = CrossCheck(solver_report, det, solver_se, det_se, gap, tolerance)
     if gap > tolerance:
         raise CrossCheckFailed(
             f"solver mean {solver_report.mean:.4f} vs determinant mean "

@@ -3,11 +3,11 @@
 The expected number of real solutions under the correspondence
 distribution equals ``5! * pi^3/4`` times the volume of the convex body K
 with support function ``h_K(x) = E|<x, z>| / 2`` over the z-vector
-ensemble.  This module estimates ``h_K`` by Monte Carlo, evaluates the
-closed-form lower bounds on it (axis values and complete elliptic
-integrals), certifies that a family of scaled points belongs to the
-bounding body, integrates ``rho1 * rho2`` over the certified polytope, and
-assembles the resulting lower bound on the expected count (>= 0.93).
+ensemble.  This module evaluates the closed-form lower bounds on ``h_K``
+(axis values and complete elliptic integrals), certifies that a family of
+scaled points belongs to the bounding body, integrates ``rho1 * rho2`` over
+the certified polytope, and assembles the resulting lower bound on the
+expected count (>= 0.93).
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 
-from . import distributions as dists
 from .errors import DomainError
-from .montecarlo import StreamStats, estimate_abs_det
 
 #: Scaling factors certified for the membership family: lambda_1 for
 #: (e_i + e_3), lambda_2 for (e_i + 2/3 e_3), lambda_3 for (2/3 e_i + e_3),
@@ -267,44 +265,6 @@ def polytope_generators(lambdas=LAMBDAS, symmetrized: bool = True) -> np.ndarray
 def build_polytope_P(lambdas=LAMBDAS, symmetrized: bool = True) -> Polytope3:
     """Convex hull of the certified generator set, tetrahedralized."""
     return Polytope3.from_points(polytope_generators(lambdas, symmetrized))
-
-
-@dataclass(frozen=True)
-class SupportEstimate:
-    value: float
-    stderr: float
-    n: int
-
-
-def support_estimate(x, n: int, seed: int = 0) -> SupportEstimate:
-    """Monte Carlo estimate of the support function ``E|<x, z>| / 2``."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    x = np.asarray(x, dtype=float).reshape(5)
-    stats = StreamStats()
-    done = 0
-    chunk_index = 0
-    while done < n:
-        m = min(500_000, n - done)
-        rng = dists.rng_for(seed, chunk_index)
-        z = dists._z_batch(rng, m)
-        stats = stats.merge(StreamStats.from_values(0.5 * np.abs(z @ x)))
-        done += m
-        chunk_index += 1
-    return SupportEstimate(stats.mean, stats.stderr, n)
-
-
-@dataclass(frozen=True)
-class VolKEstimate:
-    value: float
-    stderr: float
-    n: int
-
-
-def vol_K_estimate(n: int, seed: int = 0) -> VolKEstimate:
-    """Zonoid volume estimate: mean absolute determinant over 5!."""
-    det = estimate_abs_det(n, seed)
-    return VolKEstimate(det.mean_abs_det / 120.0, det.se_mean / 120.0, n)
 
 
 @dataclass

@@ -2,11 +2,13 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: quadrature instead of the AGM, quaternions instead of QR sampling,
-direct polynomial evaluation instead of coefficient assembly, and the
-closed-form monomial integral over a simplex.
+direct polynomial evaluation instead of coefficient assembly, the
+closed-form monomial integral over a simplex, and a generic per-curve
+finite difference instead of the stacked normal Jacobians.
 """
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -175,3 +177,51 @@ def pose_map_volume_loop(n: int, seed: int, nj_at, rng_for) -> float:
         t = rng.standard_normal(3)
         total += nj_at(rot, t / np.linalg.norm(t))
     return 0.5 * (8.0 * np.pi ** 2) * (4.0 * np.pi) * total / n
+
+
+def finite_diff_normal_jacobian(fn, curves, frame_out, inner=None, h: float = 1e-5) -> float:
+    """Normal Jacobian of a map between manifolds by central differences.
+
+    ``curves[l]`` is a callable ``s -> domain point`` passing through the
+    base point with velocity equal to the l-th input frame vector;
+    ``frame_out`` lists orthonormal ambient vectors spanning (at least)
+    the tangent space of the target.  The Jacobian entry (k, l) is the
+    inner product of the central difference of ``fn`` along curve l with
+    output frame k.  Returns the square root of the Gram determinant of
+    the smaller side, i.e. ``sqrt(det J J^T)`` when the output frame is
+    not larger than the input frame and ``sqrt(det J^T J)`` otherwise.
+    """
+    if not 1e-7 <= h <= 1e-4:
+        raise ValueError("step size must lie in [1e-7, 1e-4]")
+    if inner is None:
+        inner = lambda a, b: float(np.sum(np.asarray(a) * np.asarray(b)))
+    jac = np.empty((len(frame_out), len(curves)))
+    for l, curve in enumerate(curves):
+        diff = (np.asarray(fn(curve(h)), dtype=float)
+                - np.asarray(fn(curve(-h)), dtype=float)) / (2.0 * h)
+        for k, out in enumerate(frame_out):
+            jac[k, l] = inner(diff, out)
+    if jac.shape[0] <= jac.shape[1]:
+        gram = jac @ jac.T
+    else:
+        gram = jac.T @ jac
+    return float(np.sqrt(max(np.linalg.det(gram), 0.0)))
+
+
+@dataclass(frozen=True)
+class SupportEstimate:
+    value: float
+    stderr: float
+    n: int
+
+
+def support_estimate(x, n: int, z_chunk) -> SupportEstimate:
+    """Monte Carlo support function ``E|<x, z>| / 2`` of the zonoid of z-vectors.
+
+    ``z_chunk(i, m)`` returns the i-th chunk of m z-vectors (m, 5); chunks
+    hold at most 500k draws.  The standard error is that of the mean.
+    """
+    x = np.asarray(x, dtype=float).reshape(5)
+    values = np.concatenate([0.5 * np.abs(z_chunk(i, min(500_000, n - start)) @ x)
+                             for i, start in enumerate(range(0, n, 500_000))])
+    return SupportEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)), n)

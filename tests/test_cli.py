@@ -128,6 +128,10 @@ class TestDetCommand:
         assert 3.5 <= data["derived_mean"] <= 4.4
         assert data["n"] == 200000
 
+    def test_no_environment_variable_sets_the_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ESSENTIAL_LAB_THREADS", "abc")
+        assert run_cli(["det", "--n", "10", "--out", str(tmp_path / "det.json")]) == 0
+
 
 class TestZonoidCommand:
     def test_report_and_exit_code(self, tmp_path):

@@ -3,7 +3,8 @@
 A definition counts as used when its name occurs outside its own body in
 code under src/, tests/ or perfbench/ (as a name, an attribute or a word
 of a string literal other than a docstring: the benchmark binds names as
-strings) or in pyproject.toml.  Imports and docstrings do not count.
+strings) or in pyproject.toml.  Imports and docstrings do not count.  A
+public definition that only tests use must be listed in ``TESTED_ONLY``.
 """
 
 import ast
@@ -18,6 +19,19 @@ ROOT = Path(__file__).resolve().parent.parent
 WORD = re.compile(r"[A-Za-z_]\w*")
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Public src definitions that only tests use, each with the reason it stays.
+TESTED_ONLY = {
+    "distributions.mh_box_chain": "the paper's box-target sampler; its chain is checked "
+                                  "against a per-proposal loop",
+    "montecarlo.estimate_count_integral": "the integral formula with a density; its box "
+                                          "estimate has no CLI command yet",
+    "montecarlo.cross_check_determinant_mean": "acceptance criterion 04 ties the solver mean "
+                                               "to the determinant mean",
+    "montecarlo.chebyshev_bound": "the paper's variance bound for the determinant ensemble",
+    "geometry.ProjectivePoint2.same_point": "projective equality of the value type",
+    "verify.nj_pose_map_at": "the one-pose form of nj_pose_map for tests and callers",
+}
 
 
 def _docstrings(tree):
@@ -57,10 +71,10 @@ def _definitions(tree, prefix):
                 stack.append((node, name))
 
 
-def unused_definitions(root=ROOT):
-    """Qualified names of the src/ definitions that nothing uses."""
+def unused_definitions(root=ROOT, folders=("src", "tests", "perfbench")):
+    """Qualified names of the src/ definitions that no code in ``folders`` uses."""
     uses = {}                      # name -> set of (path, line)
-    for folder in ("src", "tests", "perfbench"):
+    for folder in folders:
         for path in sorted((root / folder).rglob("*.py")):
             for word, line in _uses(ast.parse(path.read_text(encoding="utf-8"))):
                 uses.setdefault(word, set()).add((path, line))
@@ -80,6 +94,13 @@ def unused_definitions(root=ROOT):
 
 def test_every_definition_is_used():
     assert unused_definitions() == []
+
+
+def test_only_listed_public_definitions_are_for_tests_alone():
+    """A public definition used by tests alone is listed in TESTED_ONLY with its reason."""
+    public = [name for name in unused_definitions(folders=("src", "perfbench"))
+              if not any(part.startswith("_") for part in name.split("."))]
+    assert sorted(public) == sorted(TESTED_ONLY)
 
 
 def test_an_unused_definition_is_found(tmp_path):

@@ -6,8 +6,8 @@ from scipy.stats import chi2_contingency, ks_2samp
 
 from essential_lab import distributions as dist
 from essential_lab import solver as sv
-from essential_lab.errors import ChartSingularity, RankDeficient
-from essential_lab.geometry import E0, half_trace_norm
+from essential_lab.errors import RankDeficient
+from essential_lab.geometry import E0, EssentialMatrix, half_trace_norm
 
 from oracles import box_weight, mh_box_chain_loop, quaternion_rotation_sample
 
@@ -56,10 +56,9 @@ class TestRngFor:
 
 class TestRotationSampler:
     def test_invariants(self):
-        rng = dist.rng_for(0, 0)
-        for _ in range(50):
-            r = dist.sample_rotation(rng)
-            assert np.max(np.abs(r.m @ r.m.T - np.eye(3))) <= 1e-12
+        r = dist._rotations(dist.rng_for(0, 0), 50)
+        assert np.max(np.abs(r @ np.swapaxes(r, 1, 2) - np.eye(3))) <= 1e-12
+        assert np.max(np.abs(np.linalg.det(r) - 1.0)) <= 1e-12
 
     def test_moments_against_quaternion_oracle(self):
         n = 10 ** 6
@@ -77,9 +76,8 @@ class TestRotationSampler:
 
 class TestRp2Sampler:
     def test_unit_norm(self):
-        rng = dist.rng_for(3, 0)
-        for _ in range(100):
-            assert abs(np.linalg.norm(dist.sample_rp2(rng).v) - 1.0) <= 1e-12
+        v = dist._rp2_batch(dist.rng_for(3, 0), 100)
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-12
 
     def test_third_coordinate_moment(self):
         v = dist._rp2_batch(dist.rng_for(4, 0), 10 ** 6)
@@ -144,20 +142,34 @@ class TestBoxSampler:
 
 
 class TestDensityG:
+    """The chart factor g(u) = |u|^3 / |u3|^3 of box_weights, one point at a time."""
+
+    # boxes of area vol(RP^2) = 2 pi, so a point at the pole weighs 1
+    HALF = np.sqrt(2.0 * np.pi) / 2.0
+    BOXES = [dist.BoxSpec(-HALF, HALF, -HALF, HALF)] * 10
+
+    def g(self, u):
+        """box_weights of u with nine points at the pole, over that of ten at the pole."""
+        points = np.tile([0.0, 0.0, 1.0], (1, 5, 2, 1))
+        poles = dist.box_weights(points, self.BOXES)[0]
+        points[0, 0, 0] = u
+        return dist.box_weights(points, self.BOXES)[0] / poles
+
     def test_pole(self):
-        assert dist.density_g(np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0)
+        assert self.g(np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0)
 
     def test_diagonal_point(self):
         u = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        assert dist.density_g(u) == pytest.approx(3.0 * np.sqrt(3.0), rel=1e-12)
+        assert self.g(u) == pytest.approx(3.0 * np.sqrt(3.0), rel=1e-12)
 
     def test_scale_invariance(self):
         u = np.array([0.3, -0.2, 0.5])
-        assert dist.density_g(u) == pytest.approx(dist.density_g(4.0 * u), rel=1e-12)
+        assert self.g(u) == pytest.approx(self.g(4.0 * u), rel=1e-12)
 
     def test_chart_singularity(self):
-        with pytest.raises(ChartSingularity):
-            dist.density_g(np.array([1.0, 1.0, 0.0]))
+        # a point on the chart boundary u3 = 0 lies in no box: weight 0, no division
+        assert self.g(np.array([1.0, 1.0, 0.0])) == 0.0
+        assert self.g(np.array([1.0, 1.0, 1e-13])) == 0.0
 
 
 class TestZVector:
@@ -189,11 +201,15 @@ class TestZVector:
 
 class TestEssentialUniform:
     def test_invariants(self):
+        # rotated_quadric_draw draws U, then V, then the base parameters
         rng = dist.rng_for(14, 0)
-        for _ in range(20):
-            e, u, v = dist.sample_essential_uniform(rng)
+        us, vs = dist._rotations(rng, 20), dist._rotations(rng, 20)
+        _, points = dist.rotated_quadric_draw(dist.rng_for(14, 0), 20)
+        for u, v, tuple5 in zip(us, vs, points):
+            e = EssentialMatrix(u @ E0 @ v.T)
             assert abs(half_trace_norm(e.m) - 1.0) <= 1e-9
-            assert np.allclose(u.m @ E0 @ v.m.T, e.m)
+            residuals = [p @ e.m @ q / (np.linalg.norm(p) * np.linalg.norm(q)) for p, q in tuple5]
+            assert np.max(np.abs(residuals)) <= 1e-12
 
     def test_mean_zero(self):
         rng = dist.rng_for(15, 0)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from essential_lab import montecarlo as mc
@@ -15,26 +15,35 @@ values_strategy = st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=
                            min_size=1, max_size=40)
 
 
-class TestStreamStats:
+class TestMeanStderr:
     @given(values_strategy, values_strategy)
+    @example([1e6, 1e6 - 0.1], [1e6 + 0.1])     # plain sums of x and x^2 lose this spread
     @settings(max_examples=100, deadline=None)
-    def test_merge_matches_concatenation(self, a, b):
-        merged = mc.StreamStats.from_values(a).merge(mc.StreamStats.from_values(b))
-        direct = mc.StreamStats.from_values(a + b)
-        scale = max(abs(direct.mean), 1.0)
-        assert merged.count == direct.count
-        assert abs(merged.mean - direct.mean) <= 1e-12 * scale
-        assert abs(merged.m2 - direct.m2) <= 1e-9 * max(direct.m2, 1.0)
+    def test_split_chunks_match_concatenation(self, a, b):
+        mean, se = mc.mean_stderr([np.array(a), np.array(b)])
+        values = np.array(a + b)
+        expected_se = np.std(values, ddof=1) / math.sqrt(values.size)
+        assert abs(mean - np.mean(values)) <= 1e-12 * max(abs(np.mean(values)), 1.0)
+        assert abs(se - expected_se) <= 1e-9 * max(expected_se, 1.0)
 
     @given(values_strategy, values_strategy, values_strategy)
     @settings(max_examples=50, deadline=None)
-    def test_merge_associative(self, a, b, c):
-        sa, sb, sc = (mc.StreamStats.from_values(v) for v in (a, b, c))
-        left = sa.merge(sb).merge(sc)
-        right = sa.merge(sb.merge(sc))
-        assert left.count == right.count
-        assert abs(left.mean - right.mean) <= 1e-12 * max(abs(left.mean), 1.0)
-        assert abs(left.m2 - right.m2) <= 1e-9 * max(left.m2, 1.0)
+    def test_grouping_into_chunks_does_not_matter(self, a, b, c):
+        left = mc.mean_stderr([np.array(a + b), np.array(c)])
+        right = mc.mean_stderr([np.array(a), np.array(b + c)])
+        assert abs(left[0] - right[0]) <= 1e-12 * max(abs(left[0]), 1.0)
+        assert abs(left[1] - right[1]) <= 1e-9 * max(left[1], 1.0)
+
+    def test_columns_are_separate_series(self):
+        x = np.random.default_rng(0).standard_normal((1000, 2))
+        means, ses = mc.mean_stderr([x[:300], x[300:]])
+        for k in range(2):
+            mean, se = mc.mean_stderr([x[:300, k], x[300:, k]])
+            assert means[k] == pytest.approx(mean, rel=1e-12)
+            assert ses[k] == pytest.approx(se, rel=1e-12)
+
+    def test_one_value_has_no_spread(self):
+        assert mc.mean_stderr([np.array([2.5])]) == (2.5, 0.0)
 
 
 class TestChebyshevBound:
@@ -132,6 +141,12 @@ class TestCrossCheck:
     def test_small_n_agreement(self):
         check = mc.cross_check_determinant_mean(400, 10_000, seed=41)
         assert check.gap <= check.tolerance
+        report = check.solver_report
+        assert check.solver_se == math.sqrt(report.variance / (report.n - report.failures))
+        assert check.det_se == mc.DET_TO_COUNT * check.det_estimate.se_mean
+        assert check.tolerance == 3.0 * (check.solver_se + check.det_se)
+        assert check.to_dict()["solver_se"] == check.solver_se
+        assert check.to_dict()["det_se"] == check.det_se
 
     def test_corrupted_constant_fails(self, monkeypatch):
         monkeypatch.setattr(mc, "DET_TO_COUNT", math.pi ** 3 / 4.0 * 1.25)

@@ -5,24 +5,49 @@ import pytest
 
 from essential_lab import distributions as dists
 from essential_lab import verify as vf
-from essential_lab.errors import DegenerateInput
-from essential_lab.geometry import E0, half_trace_inner, so3_basis
+from essential_lab.errors import AssertionFailure, DegenerateInput
+from essential_lab.geometry import E0, half_trace_inner, so3_basis, tangent_basis_E0
 
-from oracles import pose_map_volume_loop, quaternion_rotation_sample
+from oracles import (
+    finite_diff_normal_jacobian,
+    pose_map_volume_loop,
+    quaternion_rotation_sample,
+)
+
+
+def action_by_oracle(u0, v0, frame=None):
+    """Normal Jacobian of (U, V) -> U E0 V^T at (u0, v0), one curve at a time.
+
+    The curves are those of the library: V exp(s F), then U exp(s F).
+    The output frame defaults to the tangent basis carried to u0 E0 v0^T.
+    """
+    curves = [(lambda s, f=f: (u0, v0 @ vf._rodrigues(f, s))) for f in so3_basis()] \
+        + [(lambda s, f=f: (u0 @ vf._rodrigues(f, s), v0)) for f in so3_basis()]
+    if frame is None:
+        frame = [u0 @ b @ v0.T for b in tangent_basis_E0()]
+    return finite_diff_normal_jacobian(lambda p: p[0] @ E0 @ p[1].T, curves, frame,
+                                       inner=half_trace_inner)
+
+
+def quadric_by_oracle(point):
+    """Normal Jacobian of the quadric parametrization at one point, one curve at a time."""
+    curves = [(lambda s, i=i: point + s * np.eye(5)[i]) for i in range(5)]
+    return finite_diff_normal_jacobian(dists.quadric_param, curves,
+                                       list(np.eye(6).reshape(6, 2, 3)))
 
 
 class TestFiniteDifferenceJacobian:
     def test_identity_map(self):
         curves = [lambda s, i=i: s * np.eye(3)[i] for i in range(3)]
         frame = list(np.eye(3))
-        value = vf.finite_diff_normal_jacobian(lambda p: p, curves, frame)
+        value = finite_diff_normal_jacobian(lambda p: p, curves, frame)
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_linear_map_singular_values(self):
         mat = np.array([[2.0, 0.0], [0.0, 3.0]])
         curves = [lambda s, i=i: s * np.eye(2)[i] for i in range(2)]
         frame = list(np.eye(2))
-        value = vf.finite_diff_normal_jacobian(lambda p: mat @ p, curves, frame)
+        value = finite_diff_normal_jacobian(lambda p: mat @ p, curves, frame)
         assert value == pytest.approx(6.0, abs=1e-8)
 
     def test_pose_map_at_reference(self):
@@ -30,9 +55,13 @@ class TestFiniteDifferenceJacobian:
         assert value == pytest.approx(0.25, abs=1e-6)
 
     def test_step_size_validation(self):
-        curves = [lambda s: s * np.eye(2)[0], lambda s: s * np.eye(2)[1]]
-        with pytest.raises(ValueError):
-            vf.finite_diff_normal_jacobian(lambda p: p, curves, list(np.eye(2)), h=1e-2)
+        for h in (1e-2, 1e-8):
+            with pytest.raises(ValueError):
+                vf.nj_rotation_action(np.eye(3), np.eye(3), h=h)
+            with pytest.raises(ValueError):
+                vf.nj_quadric_param(np.array([0.0, 0.0, 1.0, 0.0, 0.3]), h=h)
+            with pytest.raises(ValueError):
+                vf.nj_pose_map(np.eye(3), np.array([1.0, 0.0, 0.0]), h=h)
 
 
 class TestPoseMapJacobian:
@@ -99,33 +128,74 @@ class TestRotationActionJacobian:
         assert report.value == pytest.approx(1.0 / math.sqrt(8.0), abs=1e-5)
 
     def test_equivariance(self):
-        base = vf.nj_rotation_action_at(np.eye(3), np.eye(3))
         u0, v0 = quaternion_rotation_sample(np.random.default_rng(0), 2)
-        away = vf.nj_rotation_action_at(u0, v0)
+        base, away = vf.nj_rotation_action(np.stack([np.eye(3), u0]), np.stack([np.eye(3), v0]))
         assert away == pytest.approx(base, abs=1e-6)
 
+    def test_stack_matches_the_oracle(self):
+        u = quaternion_rotation_sample(np.random.default_rng(1), 40)
+        v = quaternion_rotation_sample(np.random.default_rng(2), 40)
+        stacked = vf.nj_rotation_action(u, v)
+        single = np.array([action_by_oracle(u0, v0) for u0, v0 in zip(u, v)])
+        assert np.max(np.abs(stacked - single)) <= 1e-14
+
+    def test_pairs_are_the_per_index_draws(self, monkeypatch):
+        seen = []
+        stacked = vf.nj_rotation_action
+
+        def spy(u, v, h):
+            seen.append((u, v))
+            return stacked(u, v, h=h)
+
+        monkeypatch.setattr(vf, "nj_rotation_action", spy)
+        report = vf.verify_nj_gamma(seed=12, samples=6)
+        (u, v), = seen
+        assert np.array_equal(u[0], np.eye(3)) and np.array_equal(v[0], np.eye(3))
+        for index in range(6):
+            u0, v0 = dists._rotations(dists.rng_for(12, index), 2)
+            assert np.array_equal(u[index + 1], u0) and np.array_equal(v[index + 1], v0)
+        nj = [action_by_oracle(u0, v0) for u0, v0 in zip(u, v)]
+        assert report.value == pytest.approx(nj[0], abs=1e-14)
+        assert report.worst_deviation == pytest.approx(
+            np.max(np.abs(np.array(nj) - 1.0 / math.sqrt(8.0))), abs=1e-14)
+
     def test_wrong_output_frame_changes_value(self):
-        fs = so3_basis()
-        curves = [(lambda s, f=f: (np.eye(3), vf._rodrigues(f, s))) for f in fs] \
-            + [(lambda s, f=f: (vf._rodrigues(f, s), np.eye(3))) for f in fs]
         ambient = [math.sqrt(2.0) * np.outer(np.eye(3)[i], np.eye(3)[j])
                    for i in range(3) for j in range(3)]
-        value = vf.finite_diff_normal_jacobian(
-            lambda p: p[0] @ E0 @ p[1].T, curves, ambient, inner=half_trace_inner)
+        value = action_by_oracle(np.eye(3), np.eye(3), frame=ambient)
         assert abs(value - 1.0 / math.sqrt(8.0)) > 1e-3
 
 
 class TestQuadricParametrization:
     def test_reference_points(self):
-        frame = list(np.eye(6).reshape(6, 2, 3))
-        for point, expected in [
-            (np.array([0.0, 0.0, 1.0, 0.0, 0.3]), 1.0),
-            (np.array([0.4, -0.2, 3.0, 4.0, 1.1]), 5.0),
-            (np.array([0.4, -0.2, 0.0, 0.0, 1.1]), 0.0),
-        ]:
-            curves = [(lambda s, i=i, p=point: p + s * np.eye(5)[i]) for i in range(5)]
-            value = vf.finite_diff_normal_jacobian(dists.quadric_param, curves, frame)
-            assert value == pytest.approx(expected, abs=1e-6)
+        points = np.array([[0.0, 0.0, 1.0, 0.0, 0.3],
+                           [0.4, -0.2, 3.0, 4.0, 1.1],
+                           [0.4, -0.2, 0.0, 0.0, 1.1]])
+        stacked = vf.nj_quadric_param(points)
+        for point, got, expected in zip(points, stacked, [1.0, 5.0, 0.0]):
+            assert quadric_by_oracle(point) == pytest.approx(expected, abs=1e-6)
+            assert got == pytest.approx(expected, abs=1e-6)
+
+    def test_stack_matches_the_oracle(self):
+        points = np.random.default_rng(3).standard_normal((60, 5))
+        stacked = vf.nj_quadric_param(points)
+        single = np.array([quadric_by_oracle(point) for point in points])
+        assert np.max(np.abs(stacked - single)) <= 1e-14
+
+    def test_points_are_the_per_index_draws(self):
+        report = vf.verify_quadric_param_nj(samples=8, seed=13)
+        worst = 0.0
+        for index in range(8):
+            rng = dists.rng_for(13, index)
+            point = rng.standard_normal(5)
+            point[4] = rng.uniform(0.0, 2.0 * math.pi)
+            deviation = abs(quadric_by_oracle(point) - math.hypot(point[2], point[3]))
+            if index == 0:
+                assert report.value == pytest.approx(quadric_by_oracle(point), abs=1e-14)
+                assert report.expected == pytest.approx(math.hypot(point[2], point[3]),
+                                                        rel=1e-15)
+            worst = max(worst, deviation)
+        assert report.worst_deviation == pytest.approx(worst, abs=1e-14)
 
     def test_random_points(self):
         report = vf.verify_quadric_param_nj(samples=25, seed=5)
@@ -144,6 +214,24 @@ class TestIncidenceIdentity:
         report = vf.verify_detAAT_identity(samples=100, seed=6)
         assert report.passed
         assert report.worst_deviation <= 1e-10
+
+    def test_stack_matches_one_tuple_at_a_time(self):
+        pts = np.random.default_rng(8).standard_normal((30, 5, 2, 3))
+        stacked = vf.incidence_jacobian_blocks(pts)
+        for one, block in zip(pts, stacked):
+            expected = np.zeros((5, 30))
+            for i, (u, v) in enumerate(one):
+                expected[i, 6 * i: 6 * i + 6] = [0.0, -v[2], v[1], 0.0, u[2], -u[1]]
+            assert np.array_equal(block, expected)
+            assert np.array_equal(vf.incidence_jacobian_blocks(one), expected)
+
+    def test_samples_are_the_per_index_draws(self):
+        report = vf.verify_detAAT_identity(samples=5, seed=14)
+        pts = dists.rng_for(14, 0).standard_normal((5, 2, 3))
+        a = vf.incidence_jacobian_blocks(pts)
+        assert report.value == pytest.approx(np.linalg.det(a @ a.T), rel=1e-14)
+        assert report.expected == pytest.approx(
+            np.prod([u[1] ** 2 + u[2] ** 2 + v[1] ** 2 + v[2] ** 2 for u, v in pts]), rel=1e-14)
 
     def test_scaling_degree(self):
         # the per-pair factor is quadratic under joint scaling of (u, v),
@@ -181,6 +269,18 @@ class TestSuiteRunner:
             "nj_pose_map", "nj_rotation_action", "nj_quadric_param",
             "volume_essential", "det_AAT_identity", "detB_identity",
         }
+
+    def test_failed_check_is_reported_with_its_figures(self, monkeypatch):
+        with pytest.raises(AssertionFailure) as failure:
+            vf.verify_nj_gamma(samples=2, tol=0.0)
+        assert failure.value.args[1]["name"] == "nj_rotation_action"
+        assert failure.value.args[1]["passed"] is False
+        monkeypatch.setattr(vf, "nj_rotation_action", lambda u, v, h: np.full(len(u), 0.3))
+        report = vf.run_suite("nj", seed=1, nj_samples=2)
+        assert report["passed"] is False
+        assert report["checks"]["nj_rotation_action"]["passed"] is False
+        assert report["checks"]["nj_rotation_action"]["value"] == 0.3
+        assert report["checks"]["nj_pose_map"]["passed"] is True
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
