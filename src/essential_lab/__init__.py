@@ -22,7 +22,6 @@ from .errors import (
 from .geometry import (
     E0,
     EssentialMatrix,
-    ProjectivePoint2,
     Rotation,
     UnitVec3,
     cross_matrix,
@@ -36,7 +35,6 @@ from .geometry import (
 from .solver import (
     CountResult,
     LinearSpace,
-    count_real_cubic_pencil,
     solve_five_point,
 )
 
@@ -45,8 +43,8 @@ __all__ = [
     "AssertionFailure", "CrossCheckFailed", "DegenerateInput", "DegeneratePencil",
     "DomainError", "EigenNoConvergence", "EliminationFailed", "EssentialLabError",
     "RankDeficient",
-    "E0", "EssentialMatrix", "ProjectivePoint2", "Rotation", "UnitVec3",
+    "E0", "EssentialMatrix", "Rotation", "UnitVec3",
     "cross_matrix", "demazure_residuals", "essential_from_pose",
     "half_trace_inner", "recover_poses", "tangent_basis_E0", "twisted_pair",
-    "CountResult", "LinearSpace", "count_real_cubic_pencil", "solve_five_point",
+    "CountResult", "LinearSpace", "solve_five_point",
 ]

@@ -100,13 +100,15 @@ def load_instance(path: str) -> LinearSpace:
         return LinearSpace(np.asarray(data["rows"], dtype=float))
     if "correspondences" in data:
         entries = data["correspondences"]
-        if not (isinstance(entries, list) and all(
-                isinstance(c, dict) and _numbers(c.get("u"), 1) and _numbers(c.get("v"), 1)
-                for c in entries)):
-            raise ValueError("'correspondences' must be a list of {'u': [...], 'v': [...]}")
-        pairs = tuple((np.asarray(c["u"], dtype=float), np.asarray(c["v"], dtype=float))
-                      for c in entries)
-        return dists.linear_space_from_correspondences(dists.Correspondences5(pairs))
+        if not (isinstance(entries, list) and len(entries) == 5 and all(
+                isinstance(c, dict) and _numbers(c.get(k), 1) and len(c[k]) == 3
+                for c in entries for k in ("u", "v"))):
+            raise ValueError("'correspondences' must be five {'u': [3 numbers], "
+                             "'v': [3 numbers]}")
+        points = np.array([c[k] for c in entries for k in ("u", "v")], dtype=float)
+        if not np.all(np.any(points != 0.0, axis=1)):
+            raise ValueError("a correspondence point is the zero vector")
+        return LinearSpace(dists._pair_rows(dists._unit(points)))
     raise ValueError("instance file needs 'rows' or 'correspondences'")
 
 

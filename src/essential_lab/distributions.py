@@ -14,16 +14,17 @@ The base quadric u^T E0 v = 0 lives here too: ``quadric_draw``,
 and z-vectors, whose determinant ensemble reproduces the correspondence
 average; the box Metropolis-Hastings chain proposes from it.
 
-Every sampler takes an explicit ``numpy.random.Generator``.  For
+Every sampler draws from explicit ``numpy.random.Generator`` objects.  For
 scheduling-independent parallel runs, derive one generator per sample
 index with :func:`rng_for`, which keys a counter-based Philox stream by
-``(seed, index)``.  The three linear-space samplers also take a sequence
-of such generators and then return one stacked instance per generator,
-as arrays: each instance gets exactly the draws it gets alone.  Given a
-:class:`Streams`, the generators of a run of indices, they draw every
-instance from one Philox re-keyed index by index, which makes the draws
-of ``rng_for`` without building a generator per index; the norms, signs,
-rows and rank checks then run once for the whole stack.
+``(seed, index)``.  The three linear-space samplers take a sequence of
+such generators and return one instance per generator, stacked as arrays:
+rows (N, 5, 9) and kernel bases (N, 4, 9).  Each instance gets exactly the
+draws it gets in a stack of one.  Given a :class:`Streams`, the generators
+of a run of indices, they draw every instance from one Philox re-keyed
+index by index, which makes the draws of ``rng_for`` without building a
+generator per index; the norms, signs, rows and rank checks then run once
+for the whole stack.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .geometry import ProjectivePoint2
-from .solver import LinearSpace, nullspace_basis
+from .solver import nullspace_basis
 
 VOL_RP2 = 2.0 * np.pi   # Riemannian area of the projective plane
 
@@ -130,23 +130,6 @@ class BoxSpec:
         return (self.b - self.a) * (self.d - self.c)
 
 
-@dataclass(frozen=True)
-class Correspondences5:
-    """Five image-point pairs (u_i, v_i), unit representatives."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        pairs = tuple(
-            (u if isinstance(u, ProjectivePoint2) else ProjectivePoint2(u),
-             v if isinstance(v, ProjectivePoint2) else ProjectivePoint2(v))
-            for u, v in self.pairs
-        )
-        if len(pairs) != 5:
-            raise ValueError("need exactly five correspondences")
-        object.__setattr__(self, "pairs", pairs)
-
-
 def _rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """Stack of n Haar rotations drawn from ``rng``."""
     return haar_rotations(rng.standard_normal((n, 3, 3)))
@@ -159,10 +142,6 @@ def haar_rotations(gauss: np.ndarray) -> np.ndarray:
     flip = np.linalg.det(q) < 0
     q[flip, :, 2] *= -1.0
     return q
-
-
-def _rp2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _rp2_points(rng.standard_normal((1, n, 3)), [rng])[0]
 
 
 def _rp2_points(v: np.ndarray, rngs) -> np.ndarray:
@@ -184,7 +163,7 @@ def _rp2_points(v: np.ndarray, rngs) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    """3-vectors (..., 3) scaled to unit length, rounded as ProjectivePoint2 rounds."""
+    """3-vectors (..., 3) scaled to unit length by the root of their own dot product."""
     return v / np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
 
 
@@ -200,77 +179,52 @@ def _stack(rngs, draw, shape, rows_of, redraw):
     ``draw(rng, out)`` fills one instance's slot of shape ``shape``, and
     ``rows_of(raw, rngs)`` maps the stacked draws to rows (N, 5, 9).
     Returns the rows and their kernel bases (N, 4, 9) from one SVD per
-    instance.  A rank-deficient draw is replaced by ``redraw`` of its own
-    generator, a function returning a :class:`LinearSpace`.
+    instance.  With ``redraw`` a rank-deficient instance is drawn again
+    from its own generator until it has full rank; without, it raises
+    :class:`RankDeficient`.
     """
     rows = rows_of(_fill(rngs, draw, np.empty((len(rngs),) + shape)), rngs)
     basis = nullspace_basis(rows)
     for i in np.flatnonzero(np.isnan(basis[:, 0, 0])):
-        space = redraw(rngs[i])
-        rows[i], basis[i] = space.rows, space.basis
+        if not redraw:
+            raise RankDeficient("rows are numerically rank deficient")
+        while np.isnan(basis[i, 0, 0]):
+            raw = np.empty((1,) + shape)
+            draw(rngs[i], raw[0])
+            rows[i] = rows_of(raw, [rngs[i]])[0]
+            basis[i] = nullspace_basis(rows[i:i + 1])[0]
     return rows, basis
 
 
-def sample_unifG(rng):
-    """Rotation-invariant random linear space: i.i.d. Gaussian rows.
+def sample_unifG(rngs):
+    """Rotation-invariant random linear spaces: i.i.d. Gaussian rows.
 
-    Given one generator, returns a :class:`LinearSpace`.  Given a sequence
-    of generators (a list, or a :class:`Streams`), draws one space from
-    each and returns their rows (N, 5, 9) with kernel bases (N, 4, 9),
-    building no per-instance objects.  Either way a rank-deficient draw is
-    redrawn from the same generator.
+    Draws one space from each generator of ``rngs`` (a list, or a
+    :class:`Streams`) and returns their rows (N, 5, 9) with kernel bases
+    (N, 4, 9).  A rank-deficient draw is redrawn from the same generator.
     """
-    if not isinstance(rng, np.random.Generator):
-        return _stack(rng, _normals, (5, 9), lambda raw, _: raw, sample_unifG)
-    while True:
-        try:
-            return LinearSpace(rng.standard_normal((5, 9)))
-        except RankDeficient:  # pragma: no cover - probability zero
-            continue
+    return _stack(rngs, _normals, (5, 9), lambda raw, _: raw, redraw=True)
 
 
-def linear_space_from_correspondences(corr: Correspondences5) -> LinearSpace:
-    """Linear space with rows vec(u_i v_i^T), so row . vec(E) = u_i^T E v_i."""
-    if not isinstance(corr, Correspondences5):
-        corr = Correspondences5(tuple(corr))
-    return LinearSpace(_pair_rows(np.array([p.v for pair in corr.pairs for p in pair])))
+def sample_psi(rngs):
+    """Spaces of five correspondences of i.i.d. uniform projective points.
 
-
-def _correspondences(points: np.ndarray) -> Correspondences5:
-    return Correspondences5(tuple((points[2 * i], points[2 * i + 1]) for i in range(5)))
-
-
-def sample_psi(rng):
-    """Five correspondences of i.i.d. uniform projective points, plus the space.
-
-    Given a sequence of generators, draws one instance from each and
-    returns rows and kernel bases as :func:`sample_unifG` does.
+    The image points are ordered u1, v1, ..., u5, v5, and row i is
+    vec(u_i v_i^T), so row . vec(E) = u_i^T E v_i.  Returns rows and kernel
+    bases as :func:`sample_unifG` does, redrawing the same way.
     """
-    if not isinstance(rng, np.random.Generator):
-        return _stack(rng, _normals, (10, 3),
-                      lambda raw, rngs: _pair_rows(_unit(_rp2_points(raw, rngs))),
-                      lambda g: sample_psi(g)[1])
-    while True:
-        corr = _correspondences(_rp2_batch(rng, 10))
-        try:
-            return corr, linear_space_from_correspondences(corr)
-        except RankDeficient:  # pragma: no cover - probability zero
-            continue
+    return _stack(rngs, _normals, (10, 3),
+                  lambda raw, rngs: _pair_rows(_unit(_rp2_points(raw, rngs))), redraw=True)
 
 
-def _rank_deficient(rng):
-    raise RankDeficient("rows are numerically rank deficient")
-
-
-def sample_box(rng, boxes):
+def sample_box(rngs, boxes):
     """Correspondences uniform in pixel boxes, embedded as [y1 : y2 : 1].
 
     ``boxes`` holds ten :class:`BoxSpec` (or 4-tuples), ordered
     u1, v1, u2, v2, ..., u5, v5.  Representatives have positive third
-    coordinate.  Rank deficiency (possible for degenerate boxes) is
-    propagated, not resampled.  Given a sequence of generators, draws one
-    instance from each and returns rows and kernel bases as
-    :func:`sample_unifG` does.
+    coordinate.  Returns rows and kernel bases as :func:`sample_unifG`
+    does; rank deficiency (possible for degenerate boxes) raises
+    :class:`RankDeficient`, not resampled.
     """
     boxes = [b if isinstance(b, BoxSpec) else BoxSpec(*b) for b in boxes]
     if len(boxes) != 10:
@@ -285,11 +239,8 @@ def sample_box(rng, boxes):
         y = y.reshape(y.shape[:-1] + (10, 2))
         return np.concatenate([y, np.ones(y.shape[:-1] + (1,))], axis=-1)
 
-    if not isinstance(rng, np.random.Generator):
-        return _stack(rng, draw, (20,), lambda raw, _: _pair_rows(_unit(points(raw))),
-                      _rank_deficient)
-    corr = _correspondences(points(rng.uniform(low, high)))
-    return corr, linear_space_from_correspondences(corr)
+    return _stack(rngs, draw, (20,), lambda raw, _: _pair_rows(_unit(points(raw))),
+                  redraw=False)
 
 
 _Z_SLICE = 65_536    # z-vectors mapped at a time, so the map's temporaries stay small

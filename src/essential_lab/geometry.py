@@ -136,30 +136,6 @@ class EssentialMatrix:
         return obj
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectivePoint2:
-    """Point of RP^2 stored as a unit representative of its sign class."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).reshape(3)
-        n = np.linalg.norm(v)
-        if not np.all(np.isfinite(v)) or n == 0.0:
-            raise DegenerateInput("projective point needs a nonzero finite vector")
-        v = v / n
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-
-    def distance(self, other: "ProjectivePoint2") -> float:
-        """Distance in the sphere quotient: min over the +- representative."""
-        w = other.v
-        return min(np.linalg.norm(self.v - w), np.linalg.norm(self.v + w))
-
-    def same_point(self, other: "ProjectivePoint2", tol: float = TOL_INVARIANT) -> bool:
-        return self.distance(other) <= tol
-
-
 def _pose_arrays(r, t):
     rm = r.m if isinstance(r, Rotation) else Rotation(np.asarray(r)).m
     tv = t.v if isinstance(t, UnitVec3) else UnitVec3(np.asarray(t)).v

@@ -39,7 +39,6 @@ from .geometry import TOL_INVARIANT, EssentialMatrix, demazure_residuals
 
 REAL_IMAG_TOL = 1e-6      # |Im| threshold before refinement
 ACCEPT_RESIDUAL = 1e-8    # max residual after refinement
-DEDUP_TOL = 1e-6          # projective distance identifying duplicates
 COND_LIMIT = 1e12         # condition ceiling for the elimination block
 
 #: Failure reasons of an instance, indexed by the codes below.
@@ -90,7 +89,6 @@ class LinearSpace:
     """
 
     rows: np.ndarray
-    rows_unit: np.ndarray = field(init=False, repr=False, compare=False)
     basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,9 +98,6 @@ class LinearSpace:
         basis = nullspace_basis(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        unit.setflags(write=False)
-        object.__setattr__(self, "rows_unit", unit)
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
 
@@ -144,17 +139,15 @@ class CountResults(tuple):
         return sum(result.real_count for result in self if not result.failed)
 
 
-def nullspace_basis(space) -> np.ndarray:
+def nullspace_basis(rows) -> np.ndarray:
     """Orthonormal basis (4x9) of the common kernel of the five rows.
 
-    ``space`` is a :class:`LinearSpace`, which carries its basis, or rows
-    (..., 5, 9); one SVD per instance gives both the rank check and the
-    basis.  In a stack, an instance whose rows are not finite or not of
-    numerical rank 5 gets a NaN basis; a single one raises RankDeficient.
+    ``rows`` is (..., 5, 9); one SVD per instance gives both the rank
+    check and the basis.  In a stack, an instance whose rows are not
+    finite or not of numerical rank 5 gets a NaN basis; a single one
+    raises RankDeficient.
     """
-    if isinstance(space, LinearSpace):
-        return space.basis
-    rows = np.asarray(space, dtype=float)
+    rows = np.asarray(rows, dtype=float)
     if rows.shape[-2:] != (5, 9):
         raise RankDeficient("need 5x9 coefficient matrices")
     finite = np.all(np.isfinite(rows), axis=(-2, -1))
@@ -343,29 +336,20 @@ def _unit_residuals(w, basis, rows_unit):
     return units, np.where(ok, np.maximum(linear, cubic), np.inf)
 
 
-def _validate(candidates, space, basis, constraint=None):
+def _validate(candidates, rows, basis, constraint):
     """The array core of :func:`validate_and_count`.
 
     Returns, per instance, whether its eigenvalues are NaN (``broken``),
-    and per candidate whether it is accepted and not a duplicate
-    (``kept``), its unit solution vector and its residual.
+    and per candidate whether it is accepted (``kept``), its unit
+    solution vector and its residual.
     """
     basis = np.asarray(basis, dtype=float)
     charts = basis.reshape(-1, 4, 9)
     n = charts.shape[0]
-    if isinstance(candidates, EigenCandidates):
-        triples = np.asarray(candidates.triples, dtype=complex).reshape(n, -1, 3)
-        broken = np.isnan(np.asarray(candidates.values)).reshape(n, -1).any(axis=1)
-    else:
-        triples = np.asarray(candidates, dtype=complex).reshape(n, -1, 3)
-        broken = np.zeros(n, dtype=bool)
-    if isinstance(space, LinearSpace):
-        rows_unit = space.rows_unit[None]
-    else:
-        rows = np.asarray(space, dtype=float)
-        rows_unit = (rows / np.linalg.norm(rows, axis=-1, keepdims=True)).reshape(n, 5, 9)
-    if constraint is None:
-        constraint = build_constraint_matrix(charts)
+    triples = np.asarray(candidates.triples, dtype=complex).reshape(n, -1, 3)
+    broken = np.isnan(np.asarray(candidates.values)).reshape(n, -1).any(axis=1)
+    rows = np.asarray(rows, dtype=float)
+    rows_unit = (rows / np.linalg.norm(rows, axis=-1, keepdims=True)).reshape(n, 5, 9)
     constraint = np.asarray(constraint, dtype=float).reshape(n, 10, 20)
 
     finite = np.all(np.isfinite(triples), axis=2)
@@ -381,46 +365,35 @@ def _validate(candidates, space, basis, constraint=None):
         owner = redo[0]
         refined = _refine_on_chart(w[redo], constraint[owner])
         units[redo], residuals[redo] = _unit_residuals(refined, charts[owner], rows_unit[owner])
-
-    kept = realish & (residuals <= ACCEPT_RESIDUAL)
-    # Only instances with two accepted candidates near +-parallel (|cos| above
-    # 1 - 1e-10, far looser than DEDUP_TOL) can hold duplicates.
-    near = np.abs(units @ np.swapaxes(units, 1, 2)) > 1.0 - 1e-10
-    near &= kept[:, :, None] & kept[:, None, :]
-    near[:, np.arange(near.shape[1]), np.arange(near.shape[1])] = False
-    for i in np.flatnonzero(near.any(axis=(1, 2))):
-        vectors = []
-        for j in np.flatnonzero(kept[i]):
-            unit = units[i, j]
-            if any(min(np.linalg.norm(unit - p), np.linalg.norm(unit + p)) <= DEDUP_TOL
-                   for p in vectors):
-                kept[i, j] = False
-            else:
-                vectors.append(unit)
-    return broken, kept, units, residuals
+    return broken, realish & (residuals <= ACCEPT_RESIDUAL), units, residuals
 
 
-def validate_and_count(candidates, space, basis, constraint=None, retries=0):
-    """Filter, refine and deduplicate candidate solutions.
+def validate_and_count(candidates, rows, basis, constraint, retries=0):
+    """Filter and refine candidate solutions, and count the accepted ones.
 
     Keeps candidates whose imaginary parts are below 1e-6 and accepts a
     solution when the unit-normalized matrix satisfies the five (unit-row)
     linear equations and the ten cubics to 1e-8; only a candidate that
-    misses 1e-9 before is refined by Gauss-Newton first.  Duplicates
-    closer than 1e-6 in the projective metric are merged, in candidate
-    order.  An odd surviving count is reported as status "failed" with
-    reason "parity" so the caller can re-randomize the chart and retry.
-    Every accepted solution becomes an :class:`EssentialMatrix` through
-    ``EssentialMatrix.trusted`` with the residual it was accepted at, so
-    a solution is returned for each one counted.
+    misses 1e-9 before is refined by Gauss-Newton first.  No candidates
+    are merged: each simple real eigenvalue of the action matrix is one
+    solution, so close candidates are distinct solutions, and a double
+    eigenvalue counted twice keeps the count even.  An odd count is
+    reported as status "failed" with reason "parity" so the caller can
+    re-randomize the chart and retry.  Every accepted solution becomes an
+    :class:`EssentialMatrix` through ``EssentialMatrix.trusted`` with the
+    residual it was accepted at, so a solution is returned for each one
+    counted.
 
-    For a stack, ``basis`` is (N, 4, 9), ``space`` holds the rows
-    (N, 5, 9), the candidates are split evenly among the instances, and
-    ``retries`` may give one count per instance; the result is a
-    :class:`CountResults`.  An instance whose eigenvalues are NaN (its
-    elimination or eigen-iteration failed) fails with reason "elimination".
+    ``candidates`` are the :class:`EigenCandidates` of the action matrices
+    built from ``constraint`` (10x20 per instance) over the kernel
+    ``basis`` (4x9) of ``rows`` (5x9).  For a stack, ``basis`` is
+    (N, 4, 9), ``rows`` (N, 5, 9) and ``constraint`` (N, 10, 20), the
+    candidates are split evenly among the instances, and ``retries`` may
+    give one count per instance; the result is a :class:`CountResults`.
+    An instance whose eigenvalues are NaN (its elimination or
+    eigen-iteration failed) fails with reason "elimination".
     """
-    broken, kept, units, residuals = _validate(candidates, space, basis, constraint)
+    broken, kept, units, residuals = _validate(candidates, rows, basis, constraint)
     n = kept.shape[0]
     retries = np.zeros(n, dtype=np.int64) + retries
     counts = kept.sum(axis=1)
@@ -604,8 +577,3 @@ def pencil_real_root_counts(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) ->
         triple = (np.abs(d0) <= tol) & (np.abs(d1) <= tol)
         counts = np.where(degenerate, np.where(triple, 1, 2), counts)
     return counts
-
-
-def count_real_cubic_pencil(a: np.ndarray, b: np.ndarray) -> int:
-    """Real projective roots of det(s*A + t*B) for a single 3x3 pencil."""
-    return int(pencil_real_root_counts(np.asarray(a)[None], np.asarray(b)[None])[0])

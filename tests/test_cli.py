@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from essential_lab import cli
-from essential_lab import distributions as dist
 
 from oracles import planted_instance
+
+PAIR = {"u": [1.0, 2.0, 3.0], "v": [0.5, -1.0, 2.0]}
 
 
 def run_cli(args):
@@ -37,16 +38,28 @@ class TestSolveCommand:
         assert min(dists) <= 1e-6
 
     def test_correspondence_instance(self, tmp_path):
-        rng = dist.rng_for(1, 0)
-        corr, _ = dist.sample_psi(rng)
-        payload = {"correspondences": [
-            {"u": u.v.tolist(), "v": v.v.tolist()} for u, v in corr.pairs
-        ]}
+        """Points at any scale solve as the rows vec(u v^T) of their unit representatives."""
+        rng = np.random.default_rng(1)
+        points = rng.standard_normal((10, 3)) * rng.uniform(0.01, 100.0, (10, 1))
         instance = tmp_path / "corr.json"
-        instance.write_text(json.dumps(payload))
-        out = tmp_path / "result.json"
-        assert run_cli(["solve", "--input", str(instance), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["real_count"] % 2 == 0
+        instance.write_text(json.dumps({"correspondences": [
+            {"u": u.tolist(), "v": v.tolist()} for u, v in zip(points[0::2], points[1::2])]}))
+        unit = points / np.linalg.norm(points, axis=1, keepdims=True)
+        rows = tmp_path / "rows.json"
+        rows.write_text(json.dumps({"rows": [
+            np.outer(u, v).ravel().tolist() for u, v in zip(unit[0::2], unit[1::2])]}))
+        results = []
+        for path in (instance, rows):
+            out = tmp_path / f"result-{path.stem}.json"
+            assert run_cli(["solve", "--input", str(path), "--out", str(out)]) == 0
+            results.append(json.loads(out.read_text()))
+        from_points, from_rows = results
+        assert from_points["real_count"] % 2 == 0
+        assert from_points["real_count"] == from_rows["real_count"] > 0
+        for sol in np.array(from_points["solutions"]):
+            gap = min(min(np.linalg.norm(sol - other), np.linalg.norm(sol + other))
+                      for other in np.array(from_rows["solutions"]))
+            assert gap <= 1e-10
 
     def test_missing_file_is_validation_error(self, tmp_path):
         assert run_cli(["solve", "--input", str(tmp_path / "nope.json")]) == 2
@@ -56,7 +69,14 @@ class TestSolveCommand:
         bad.write_text(json.dumps({"points": []}))
         assert run_cli(["solve", "--input", str(bad)]) == 2
 
-    @pytest.mark.parametrize("payload", [{"correspondences": [1, 2, 3, 4, 5]}, 7])
+    @pytest.mark.parametrize("payload", [
+        {"correspondences": [1, 2, 3, 4, 5]},
+        7,
+        {"correspondences": [PAIR] * 4},
+        {"correspondences": [PAIR] * 4 + [{"u": [1.0, 2.0], "v": [0.5, -1.0, 2.0]}]},
+        {"correspondences": [PAIR] * 4 + [{"u": [0.0, 0.0, 0.0], "v": [0.5, -1.0, 2.0]}]},
+        {"correspondences": [PAIR] * 5},
+    ])
     def test_malformed_instance_is_validation_error(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

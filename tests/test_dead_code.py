@@ -3,8 +3,9 @@
 A definition counts as used when its name occurs outside its own body in
 code under src/, tests/ or perfbench/ (as a name, an attribute or a word
 of a string literal other than a docstring: the benchmark binds names as
-strings) or in pyproject.toml.  Imports and docstrings do not count.  A
-public definition that only tests use must be listed in ``TESTED_ONLY``.
+strings) or in pyproject.toml.  Imports, docstrings and the names listed in
+``__all__`` do not count: exporting a name does not call it.  A public
+definition that only tests use must be listed in ``TESTED_ONLY``.
 """
 
 import ast
@@ -29,7 +30,11 @@ TESTED_ONLY = {
     "montecarlo.cross_check_determinant_mean": "acceptance criterion 04 ties the solver mean "
                                                "to the determinant mean",
     "montecarlo.chebyshev_bound": "the paper's variance bound for the determinant ensemble",
-    "geometry.ProjectivePoint2.same_point": "projective equality of the value type",
+    "geometry.essential_from_pose": "the pose map (R, t) -> [t]_x R that defines the "
+                                    "essential variety",
+    "geometry.recover_poses": "the inverse of the pose map: the two poses of an essential "
+                              "matrix",
+    "solver.pencil_real_root_counts": "acceptance criterion 05's rank-two pencil average 2",
     "verify.nj_pose_map_at": "the one-pose form of nj_pose_map for tests and callers",
 }
 
@@ -42,16 +47,24 @@ def _docstrings(tree):
     return found
 
 
+def _exports(tree):
+    """Ids of the nodes of every value assigned to ``__all__``."""
+    return {id(child) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets)
+            for child in ast.walk(node.value)}
+
+
 def _uses(tree):
     """(name, line) of every name, attribute and string word the tree uses."""
-    docstrings = _docstrings(tree)
+    skipped = _docstrings(tree) | _exports(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
+              and id(node) not in skipped):
             for word in WORD.findall(node.value):
                 yield word, node.lineno
 
@@ -109,7 +122,9 @@ def test_an_unused_definition_is_found(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "pyproject.toml").write_text('[project.scripts]\nx = "pkg.mod:main"\n')
+    (package / "__init__.py").write_text('__all__ = ["exported"]\n')
     (package / "mod.py").write_text(
+        "def exported():\n    pass\n\n"
         "def main(obj):\n"
         "    \"\"\"Not a use of recursive or Spare.\"\"\"\n"
         "    return helper(), getattr(obj, 'named')\n\n"
@@ -121,7 +136,7 @@ def test_an_unused_definition_is_found(tmp_path):
         "    def unnamed(self):\n        return self.unnamed\n"
     )
     assert sorted(unused_definitions(tmp_path)) == [
-        "mod.Spare", "mod.Spare.unnamed", "mod.recursive"]
+        "mod.Spare", "mod.Spare.unnamed", "mod.exported", "mod.recursive"]
 
 
 def test_traced_entry_points_exist():

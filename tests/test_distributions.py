@@ -25,6 +25,11 @@ def every_kind_of_draw(rng, out):
     out[12] = rng.integers(-2 ** 40, 2 ** 40)
 
 
+def rp2(rng, n):
+    """n uniform projective points (n, 3) drawn from one generator."""
+    return dist._rp2_points(rng.standard_normal((1, n, 3)), [rng])[0]
+
+
 class TestRngFor:
     def test_deterministic(self):
         a = dist.rng_for(7, 3).standard_normal(4)
@@ -76,15 +81,15 @@ class TestRotationSampler:
 
 class TestRp2Sampler:
     def test_unit_norm(self):
-        v = dist._rp2_batch(dist.rng_for(3, 0), 100)
+        v = rp2(dist.rng_for(3, 0), 100)
         assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= 1e-12
 
     def test_third_coordinate_moment(self):
-        v = dist._rp2_batch(dist.rng_for(4, 0), 10 ** 6)
+        v = rp2(dist.rng_for(4, 0), 10 ** 6)
         assert abs((v[:, 2] ** 2).mean() - 1.0 / 3.0) <= 0.002
 
     def test_rotation_invariance(self):
-        v = dist._rp2_batch(dist.rng_for(5, 0), 10 ** 6)
+        v = rp2(dist.rng_for(5, 0), 10 ** 6)
         rot = quaternion_rotation_sample(np.random.default_rng(0), 1)[0]
         w = v @ rot.T
         assert abs((w[:, 2] ** 2).mean() - 1.0 / 3.0) <= 0.002
@@ -93,48 +98,51 @@ class TestRp2Sampler:
 class TestLinearSpaceBuilders:
     def test_unifg_rank(self):
         rng = dist.rng_for(6, 0)
-        for _ in range(20):
-            space = dist.sample_unifG(rng)
-            assert np.linalg.matrix_rank(space.rows) == 5
+        rows, _ = dist.sample_unifG([rng] * 20)
+        for instance in rows:
+            assert np.linalg.matrix_rank(instance) == 5
 
     def test_row_from_basis_points(self):
         e = np.eye(3)
-        pairs = ((e[0], e[0]), (e[1], e[1]), (e[2], e[2]), (e[0], e[1]), (e[1], e[2]))
-        space = dist.linear_space_from_correspondences(dist.Correspondences5(pairs))
-        assert np.allclose(space.rows[0], np.eye(9)[0])
+        points = np.array([e[0], e[0], e[1], e[1], e[2], e[2], e[0], e[1], e[1], e[2]])
+        assert np.allclose(dist._pair_rows(points)[0], np.eye(9)[0])
 
     def test_pairing_identity(self):
         rng = dist.rng_for(7, 0)
         for _ in range(50):
-            corr, space = dist.sample_psi(rng)
+            points = rp2(rng, 10)
             e = rng.standard_normal((3, 3))
-            for row, (u, v) in zip(space.rows, corr.pairs):
-                assert row @ e.ravel() == pytest.approx(float(u.v @ e @ v.v), abs=1e-13)
+            for row, u, v in zip(dist._pair_rows(points), points[0::2], points[1::2]):
+                assert row @ e.ravel() == pytest.approx(float(u @ e @ v), abs=1e-13)
 
     def test_rows_are_rank_one(self):
-        rng = dist.rng_for(8, 0)
-        _, space = dist.sample_psi(rng)
-        for row in space.rows:
+        rows, _ = dist.sample_psi([dist.rng_for(8, 0)])
+        for row in rows[0]:
             svals = np.linalg.svd(row.reshape(3, 3), compute_uv=False)
             assert svals[1] <= 1e-12 * svals[0]
 
     def test_degenerate_correspondences_rejected(self):
-        same = (np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))
+        same = np.array([1.0, 0.0, 0.0])
         with pytest.raises(RankDeficient):
-            dist.linear_space_from_correspondences(dist.Correspondences5((same,) * 5))
+            sv.LinearSpace(dist._pair_rows(np.array([same] * 10)))
 
 
 class TestBoxSampler:
     def test_chart_representatives(self):
-        rng = dist.rng_for(9, 0)
-        corr, _ = dist.sample_box(rng, BOXES55)
-        for u, v in corr.pairs:
-            assert u.v[2] > 0 and v.v[2] > 0
+        rows, _ = dist.sample_box([dist.rng_for(9, 0)], BOXES55)
+        # row i is u_i v_i^T with u, v of positive third coordinate, so its
+        # (2, 2) entry is positive and the third column and row give the
+        # chart coordinates of u and v
+        m = rows[0].reshape(5, 3, 3)
+        third = m[:, 2, 2]
+        assert np.all(third > 0)
+        for chart in (m[:, :2, 2] / third[:, None], m[:, 2, :2] / third[:, None]):
+            assert np.all(np.abs(chart) <= 5.0)
 
     def test_degenerate_boxes_propagate_rank_failure(self):
         tiny = [dist.BoxSpec(0.0, 1e-30, 0.0, 1e-30)] * 10
         with pytest.raises(RankDeficient):
-            dist.sample_box(dist.rng_for(10, 0), tiny)
+            dist.sample_box([dist.rng_for(10, 0)], tiny)
 
     def test_box_spec_validation(self):
         with pytest.raises(ValueError):
@@ -251,7 +259,7 @@ class TestBoxWeight:
     def test_unit_mean_per_point(self):
         # density of the box law over the uniform law must average to one
         n = 10 ** 6
-        v = dist._rp2_batch(dist.rng_for(19, 0), n)
+        v = rp2(dist.rng_for(19, 0), n)
         box = BOXES55[0]
         norms = np.ones(n)
         safe = np.abs(v[:, 2]) > 1e-12

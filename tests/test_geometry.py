@@ -187,11 +187,3 @@ class TestTypes:
         scaled = 1.01 * geo.E0
         with pytest.raises(DegenerateInput):
             geo.EssentialMatrix(scaled)
-
-    def test_projective_point_sign_class(self):
-        p = geo.ProjectivePoint2([1.0, 2.0, 2.0])
-        q = geo.ProjectivePoint2([-1.0, -2.0, -2.0])
-        assert p.same_point(q)
-        assert p.distance(q) == 0.0
-        r = geo.ProjectivePoint2([1.0, 0.0, 0.0])
-        assert not p.same_point(r)

@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +12,17 @@ from essential_lab.geometry import demazure_residuals
 
 from oracles import cubic_residuals_direct, planted_instance, projective_distance
 
+CLOSE_PAIRS = json.loads((Path(__file__).parent / "data" / "planted_close_pairs.json")
+                         .read_text(encoding="utf-8"))["cases"]
+
 
 def random_orthonormal_basis(rng):
     return np.linalg.qr(rng.standard_normal((9, 4)))[0].T
+
+
+def pencil_count(a, b):
+    """Real projective roots of det(s*A + t*B) for one pencil, as a stack of one."""
+    return int(sv.pencil_real_root_counts(np.asarray(a)[None], np.asarray(b)[None])[0])
 
 
 def chart_coordinates(basis, target_vec):
@@ -39,7 +51,7 @@ class TestLinearSpace:
 class TestNullspaceBasis:
     def test_coordinate_kernel(self):
         rows = np.eye(9)[:5]
-        basis = sv.nullspace_basis(sv.LinearSpace(rows))
+        basis = sv.nullspace_basis(rows)
         # span must be exactly the last four coordinates
         assert np.max(np.abs(basis[:, :5])) <= 1e-12
         assert np.allclose(basis @ basis.T, np.eye(4), atol=1e-12)
@@ -47,9 +59,9 @@ class TestNullspaceBasis:
     def test_random_residual(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            space = sv.LinearSpace(rng.standard_normal((5, 9)))
-            basis = sv.nullspace_basis(space)
-            assert np.max(np.abs(space.rows @ basis.T)) <= 1e-12
+            rows = rng.standard_normal((5, 9))
+            basis = sv.nullspace_basis(rows)
+            assert np.max(np.abs(rows @ basis.T)) <= 1e-12
             assert np.allclose(basis @ basis.T, np.eye(4), atol=1e-12)
 
     def test_rank_deficient_rejected(self):
@@ -84,7 +96,7 @@ class TestConstraintMatrix:
     def test_planted_monomial_vector_in_kernel(self):
         rng = np.random.default_rng(5)
         rows, target, _ = planted_instance(rng)
-        basis = sv.nullspace_basis(sv.LinearSpace(rows))
+        basis = sv.nullspace_basis(rows)
         xyz = chart_coordinates(basis, target)
         matrix = sv.build_constraint_matrix(basis)
         mon, _ = sv._monomials_and_gradients(xyz[None])
@@ -94,8 +106,7 @@ class TestConstraintMatrix:
 class TestActionMatrix:
     def test_eigenvalue_matches_x_coordinate(self):
         rng = np.random.default_rng(6)
-        space = sv.LinearSpace(rng.standard_normal((5, 9)))
-        basis = sv.nullspace_basis(space)
+        basis = sv.nullspace_basis(rng.standard_normal((5, 9)))
         op = sv.action_matrix(sv.build_constraint_matrix(basis))
         values, triples = sv.eigen_candidates(op)
         for lam, (x, _, _) in zip(values, triples):
@@ -105,7 +116,7 @@ class TestActionMatrix:
     def test_trace_equals_sum_of_x(self):
         rng = np.random.default_rng(7)
         rows, _, _ = planted_instance(rng)
-        basis = sv.nullspace_basis(sv.LinearSpace(rows))
+        basis = sv.nullspace_basis(rows)
         op = sv.action_matrix(sv.build_constraint_matrix(basis))
         _, triples = sv.eigen_candidates(op)
         assert np.all(np.isfinite(triples[:, 0]))
@@ -141,8 +152,7 @@ class TestEigenCandidates:
     def test_conjugate_pairing(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            space = sv.LinearSpace(rng.standard_normal((5, 9)))
-            basis = sv.nullspace_basis(space)
+            basis = sv.nullspace_basis(rng.standard_normal((5, 9)))
             values, _ = sv.eigen_candidates(sv.action_matrix(sv.build_constraint_matrix(basis)))
             nonreal = values[np.abs(values.imag) > 1e-8]
             paired = np.sort_complex(nonreal)
@@ -152,7 +162,7 @@ class TestEigenCandidates:
     def test_planted_candidate(self):
         rng = np.random.default_rng(10)
         rows, target, _ = planted_instance(rng)
-        basis = sv.nullspace_basis(sv.LinearSpace(rows))
+        basis = sv.nullspace_basis(rows)
         xyz = chart_coordinates(basis, target)
         _, triples = sv.eigen_candidates(sv.action_matrix(sv.build_constraint_matrix(basis)))
         dist = np.min(np.abs(triples - xyz).max(axis=1))
@@ -173,12 +183,13 @@ class TestValidateAndSolve:
 
     def test_solution_residuals(self):
         rng = np.random.default_rng(12)
-        space = sv.LinearSpace(rng.standard_normal((5, 9)))
-        result = sv.solve_five_point(space, rng=0)
+        rows = rng.standard_normal((5, 9))
+        result = sv.solve_five_point(rows, rng=0)
+        rows_unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         assert result.residual_max <= 1e-8
         for sol in result.solutions:
             vec = sol.m.ravel() / np.sqrt(2.0)
-            assert np.max(np.abs(space.rows_unit @ vec)) <= 1e-8
+            assert np.max(np.abs(rows_unit @ vec)) <= 1e-8
             assert np.max(np.abs(demazure_residuals(sol.m))) <= 1e-9
 
     def test_counts_even_and_bounded(self):
@@ -215,54 +226,64 @@ class TestValidateAndSolve:
             assert np.array_equal(a.m, b.m)
 
     def test_candidates_accepted_above_1e9_are_returned_as_solutions(self):
-        space = dist.sample_unifG(dist.rng_for(5, 0))
-        basis = sv.nullspace_basis(space)
+        rows, basis = dist.sample_unifG([dist.rng_for(5, 0)])
         cands = sv.eigen_candidates(sv.action_matrix(sv.build_constraint_matrix(basis)))
-        reals = cands.triples[np.abs(cands.triples.imag).max(axis=1) <= 1e-6].real
-        shifted = reals[:2] + 2.1e-9
+        real = np.abs(cands.triples.imag).max(axis=1) <= 1e-6
+        shifted = sv.EigenCandidates(cands.values[real][:2], cands.triples[real][:2].real + 2.1e-9)
         # a zero constraint matrix makes Gauss-Newton a no-op, so the shift stays
-        zero = np.zeros((10, 20))
-        result = sv.validate_and_count(shifted, space, basis, zero)
+        zero = np.zeros((1, 10, 20))
+        [result] = sv.validate_and_count(shifted, rows, basis, zero)
         residuals = sorted(s.residual for s in result.solutions)
         assert result.status == "ok" and result.real_count == len(result.solutions) == 2
         assert residuals[0] == pytest.approx(1.0e-9, rel=0.05)
         assert residuals[1] == pytest.approx(3.0e-9, rel=0.05)
         assert result.residual_max == residuals[1]
-        _, kept, _, _ = sv._validate(shifted, space, basis, zero)
+        _, kept, _, _ = sv._validate(shifted, rows, basis, zero)
         assert int(kept.sum()) == result.real_count
 
     def test_validate_reports_parity_failure(self):
         rng = np.random.default_rng(16)
-        space = sv.LinearSpace(rng.standard_normal((5, 9)))
-        basis = sv.nullspace_basis(space)
+        rows = rng.standard_normal((5, 9))
+        basis = sv.nullspace_basis(rows)
         constraint = sv.build_constraint_matrix(basis)
         cands = sv.eigen_candidates(sv.action_matrix(constraint))
-        reals = cands.triples[np.abs(cands.triples.imag).max(axis=1) <= 1e-6]
-        if reals.shape[0] < 2:
+        real = np.abs(cands.triples.imag).max(axis=1) <= 1e-6
+        if real.sum() < 2:
             pytest.skip("instance has fewer than two real candidates")
         # drop one genuine real candidate: surviving count is odd
-        result = sv.validate_and_count(reals[1:], space, basis, constraint)
+        reals = sv.EigenCandidates(cands.values[real][1:], cands.triples[real][1:])
+        result = sv.validate_and_count(reals, rows, basis, constraint)
         assert result.failed and result.reason == "parity"
+
+    @pytest.mark.parametrize("case", CLOSE_PAIRS,
+                             ids=lambda case: re.sub(r"\W+", "-", case["source"]).strip("-"))
+    def test_close_real_solutions_are_all_counted(self, case):
+        """Two real solutions 1e-6 apart count twice: each real eigenvalue is one solution."""
+        result = sv.solve_five_point(np.array(case["rows"]), rng=case["rng"])
+        assert (result.real_count, result.status) == (case["real_count"], "ok")
+        gap = min(projective_distance(s.m.ravel() / np.sqrt(2.0), np.array(case["planted"]))
+                  for s in result.solutions)
+        assert gap <= 1e-6
 
 
 class TestCubicPencil:
     def test_three_distinct_roots(self):
-        assert sv.count_real_cubic_pencil(np.eye(3), np.diag([-1.0, -2.0, -3.0])) == 3
+        assert pencil_count(np.eye(3), np.diag([-1.0, -2.0, -3.0])) == 3
 
     def test_rotation_pencil_single_root(self):
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert sv.count_real_cubic_pencil(np.eye(3), rot) == 1
+        assert pencil_count(np.eye(3), rot) == 1
 
     def test_root_at_infinity_counted(self):
         # det(s A + t B) with det(A) = 0: [1 : 0] is a root
         a = np.diag([0.0, 1.0, 1.0])
         b = np.diag([1.0, 2.0, 3.0])
-        assert sv.count_real_cubic_pencil(a, b) == 3
+        assert pencil_count(a, b) == 3
 
     def test_degenerate_pencil(self):
         rank1 = np.outer([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         with pytest.raises(DegeneratePencil):
-            sv.count_real_cubic_pencil(rank1, rank1)
+            pencil_count(rank1, rank1)
 
     def test_batch_mean_near_two(self):
         rng = np.random.default_rng(17)
