@@ -14,8 +14,6 @@ from .errors import (
     DegenerateInput,
     DegeneratePencil,
     DomainError,
-    EigenNoConvergence,
-    EliminationFailed,
     EssentialLabError,
     RankDeficient,
 )
@@ -41,8 +39,7 @@ from .solver import (
 __all__ = [
     "__version__",
     "AssertionFailure", "CrossCheckFailed", "DegenerateInput", "DegeneratePencil",
-    "DomainError", "EigenNoConvergence", "EliminationFailed", "EssentialLabError",
-    "RankDeficient",
+    "DomainError", "EssentialLabError", "RankDeficient",
     "E0", "EssentialMatrix", "Rotation", "UnitVec3",
     "cross_matrix", "demazure_residuals", "essential_from_pose",
     "half_trace_inner", "recover_poses", "tangent_basis_E0", "twisted_pair",

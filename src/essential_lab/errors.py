@@ -13,17 +13,6 @@ class RankDeficient(EssentialLabError):
     """A 5x9 coefficient matrix has numerical rank below 5."""
 
 
-class EliminationFailed(EssentialLabError):
-    """Pivoting broke down while reducing the constraint matrix.
-
-    Callers should re-randomize the nullspace basis and retry.
-    """
-
-
-class EigenNoConvergence(EssentialLabError):
-    """The dense eigenvalue iteration did not converge."""
-
-
 class DegeneratePencil(EssentialLabError):
     """det(s*A + t*B) vanishes identically."""
 

@@ -5,11 +5,12 @@ random stream keyed by (seed, index), so a run is reproducible bit for bit
 regardless of how many worker processes execute it.  Work is cut into
 fixed-size chunks, each sampled and solved as one stack.  A chunk draws
 its instances through :class:`~essential_lab.distributions.Streams` (one
-Philox re-keyed per index, the same draws as ``rng_for``) and counts them
-with :func:`~essential_lab.solver.count_batch`, which applies the rule of
-``solve_batch`` and builds no solution objects.  Chunks return integer
-histograms; the mean and variance follow exactly from their sum, so no
-floating-point reduction order depends on the scheduling either.
+Philox re-keyed per index, the same draws as ``rng_for``) and solves them
+with :func:`~essential_lab.solver.solve_batch`, whose arrays give each
+instance's count and failure reason; no solution objects are built.
+Chunks return integer histograms; the mean and variance follow exactly
+from their sum, so no floating-point reduction order depends on the
+scheduling either.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import distributions as dists
 from .errors import CrossCheckFailed
-from .solver import count_batch
+from .solver import SOLVED, solve_batch
 from .solver import solve_five_point  # noqa: F401 - perfbench traces this name
 
 CHUNK = 128            # instances per solver chunk, solved as one stack
@@ -74,17 +75,7 @@ class ExperimentReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "distribution": self.distribution,
-            "n": self.n,
-            "seed": self.seed,
-            "mean": self.mean,
-            "variance": self.variance,
-            "histogram": list(self.histogram),
-            "failures": self.failures,
-            "chebyshev": [[eps, bound] for eps, bound in self.chebyshev],
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def chebyshev_bound(sigma2: float, n: int, eps: float) -> float:
@@ -112,12 +103,12 @@ def _sample_chunk(dist: str, rngs, boxes):
 
 
 def _solve_chunk(args):
-    """Sample and count one chunk as a stack; returns its histogram and failure count."""
+    """Sample and solve one chunk as a stack; returns its histogram and failure count."""
     dist, boxes, seed, start, length, retries = args
     streams = dists.Streams(seed, start, length)
     rows, basis = _sample_chunk(dist, streams, boxes)
-    counted = count_batch(rows, basis, streams, retries)
-    solved = counted.count[~counted.failed]
+    result = solve_batch(rows, basis, streams, retries)
+    solved = result.count[result.reason == SOLVED]
     return np.bincount(solved, minlength=11), length - solved.size
 
 
@@ -159,7 +150,7 @@ def run_experiment(dist: str, n: int, seed: int, workers: int = 1,
     squares = sum(k * k * int(c) for k, c in enumerate(hist))
     mean = total / solved if solved else 0.0
     variance = (solved * squares - total * total) / (solved * (solved - 1)) if solved > 1 else 0.0
-    cheb = [(eps, min(1.0, variance / (solved * eps * eps))) for eps in (0.1, 0.05, 0.01)] \
+    cheb = [[eps, min(1.0, variance / (solved * eps * eps))] for eps in (0.1, 0.05, 0.01)] \
         if variance > 0 else []
     return ExperimentReport(
         distribution=dist,

@@ -10,13 +10,12 @@ real ones, refining by Gauss-Newton those that the eigenvectors give too
 coarsely.  Ten complex solutions exist for generic input, so the real count
 is an even number between 0 and 10.
 
-Every stage takes a stack of instances along leading axes, and
-:func:`solve_batch` runs a whole stack through them at once;
-:func:`solve_five_point` is its one-instance case, and :func:`count_batch`
-applies the same rule but returns only each instance's count, failure
-reason and retries, as arrays, building no solution objects.  A stage
-given a single instance raises on failure, while in a stack the failed
-instances come back as NaN and take the retry path on their own.
+Every stage takes a stack of instances along leading axes, and a failed
+instance comes back from it as NaN.  :func:`solve_batch` runs a whole
+stack through the stages at once and returns a :class:`StackResult` of
+arrays, each failed instance taking the retry path on its own;
+:func:`solve_five_point` is its one-instance case and the only place
+that builds solution objects.
 
 The module also counts real roots of determinant pencils ``det(s*A + t*B)``
 of 3x3 matrices, used for the rank-two (uncalibrated-camera) average.
@@ -29,12 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegeneratePencil,
-    EigenNoConvergence,
-    EliminationFailed,
-    RankDeficient,
-)
+from .errors import DegeneratePencil, RankDeficient
 from .geometry import TOL_INVARIANT, EssentialMatrix, demazure_residuals
 
 REAL_IMAG_TOL = 1e-6      # |Im| threshold before refinement
@@ -84,8 +78,9 @@ class LinearSpace:
     """Five linear functionals on 3x3 matrices (row-major vectorization).
 
     The row span must have numerical rank 5: the smallest singular value
-    has to exceed 1e-10 times the largest.  The SVD that checks it also
-    gives ``basis``, an orthonormal basis (4x9) of the common kernel.
+    has to exceed 1e-10 times the largest, or RankDeficient is raised.
+    The SVD that checks it also gives ``basis``, an orthonormal basis
+    (4x9) of the common kernel.
     """
 
     rows: np.ndarray
@@ -96,6 +91,8 @@ class LinearSpace:
         if rows.shape != (5, 9) or not np.all(np.isfinite(rows)):
             raise RankDeficient("need a finite 5x9 coefficient matrix")
         basis = nullspace_basis(rows)
+        if np.isnan(basis).any():
+            raise RankDeficient("rows are numerically rank deficient")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         basis.setflags(write=False)
@@ -122,30 +119,40 @@ class CountResult:
         return self.status == "failed"
 
 
-class CountResults(tuple):
-    """The :class:`CountResult` of every instance of a stack, in stack order.
+class StackResult(NamedTuple):
+    """Outcome of every instance of a stack, as arrays.
 
-    Read as one result, as code written for a single instance reads it
-    (perfbench's span recorder does), a stack is ``failed`` when every
-    instance failed, and its ``real_count`` totals the other instances.
+    ``kept``, ``solutions`` and ``residuals`` hold the candidates of the
+    round that decided each instance: whether each was accepted, its
+    solution matrix at half-trace norm 1 (zero for a non-real candidate)
+    and its residual.  Read as one result, as code written for a single
+    instance reads it (perfbench's span recorder does), a stack is
+    ``failed`` when every instance failed, and its ``real_count`` sums the
+    counts of the solved instances.
     """
+
+    count: np.ndarray       # (N,) real solutions; 0 for a failed instance
+    reason: np.ndarray      # (N,) index into FAILURE_REASONS; SOLVED (0) unless failed
+    retries: np.ndarray     # (N,) charts re-randomized
+    kept: np.ndarray        # (N, 10) accepted candidates
+    solutions: np.ndarray   # (N, 10, 3, 3)
+    residuals: np.ndarray   # (N, 10)
 
     @property
     def failed(self) -> bool:
-        return all(result.failed for result in self)
+        return bool(np.all(self.reason != SOLVED))
 
     @property
     def real_count(self) -> int:
-        return sum(result.real_count for result in self if not result.failed)
+        return int(self.count[self.reason == SOLVED].sum())
 
 
 def nullspace_basis(rows) -> np.ndarray:
     """Orthonormal basis (4x9) of the common kernel of the five rows.
 
     ``rows`` is (..., 5, 9); one SVD per instance gives both the rank
-    check and the basis.  In a stack, an instance whose rows are not
-    finite or not of numerical rank 5 gets a NaN basis; a single one
-    raises RankDeficient.
+    check and the basis.  An instance whose rows are not finite or not of
+    numerical rank 5 gets a NaN basis.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.shape[-2:] != (5, 9):
@@ -153,8 +160,6 @@ def nullspace_basis(rows) -> np.ndarray:
     finite = np.all(np.isfinite(rows), axis=(-2, -1))
     _, svals, vt = np.linalg.svd(np.where(finite[..., None, None], rows, 0.0))
     full_rank = finite & (svals[..., -1] > 1e-10 * svals[..., 0])
-    if rows.ndim == 2 and not full_rank:
-        raise RankDeficient("rows are numerically rank deficient")
     return np.where(full_rank[..., None, None], vt[..., 5:, :], np.nan)
 
 
@@ -205,15 +210,14 @@ def action_matrix(m: np.ndarray) -> np.ndarray:
     10x10 matrix of multiplication by x on the quotient basis
     [x^2, xy, xz, y^2, yz, z^2, x, y, z, 1]: products that leave the basis
     are rewritten through B, the rest are basis inclusions.  A left block
-    with condition number beyond 1e12 fails the elimination.
+    with condition number beyond 1e12 fails the elimination, and the
+    instance's action matrix is NaN.
     """
     m = np.asarray(m, dtype=float)
     block = m[..., :10]
     finite = np.all(np.isfinite(m), axis=(-2, -1))
     svals = np.linalg.svd(np.where(finite[..., None, None], block, 0.0), compute_uv=False)
     ok = finite & (svals[..., -1] > svals[..., 0] / COND_LIMIT)
-    if m.ndim == 2 and not ok:
-        raise EliminationFailed("leading 10x10 block is too ill-conditioned")
     reduced = np.linalg.solve(np.where(ok[..., None, None], block, np.eye(10)), m[..., 10:])
 
     t = np.zeros(m.shape[:-2] + (10, 10))
@@ -258,8 +262,6 @@ def eigen_candidates(t: np.ndarray) -> EigenCandidates:
                     values[i], vectors[i] = np.linalg.eig(stack[i].T)
                 except np.linalg.LinAlgError:
                     pass
-    if t.ndim == 2 and np.isnan(values).any():
-        raise EigenNoConvergence("eigenvalue iteration did not converge")
     with np.errstate(divide="ignore", invalid="ignore"):
         triples = np.swapaxes(vectors[:, 6:9] / vectors[:, 9:10], 1, 2)
     return EigenCandidates(values.reshape(-1), triples.reshape(-1, 3))
@@ -336,39 +338,7 @@ def _unit_residuals(w, basis, rows_unit):
     return units, np.where(ok, np.maximum(linear, cubic), np.inf)
 
 
-def _validate(candidates, rows, basis, constraint):
-    """The array core of :func:`validate_and_count`.
-
-    Returns, per instance, whether its eigenvalues are NaN (``broken``),
-    and per candidate whether it is accepted (``kept``), its unit
-    solution vector and its residual.
-    """
-    basis = np.asarray(basis, dtype=float)
-    charts = basis.reshape(-1, 4, 9)
-    n = charts.shape[0]
-    triples = np.asarray(candidates.triples, dtype=complex).reshape(n, -1, 3)
-    broken = np.isnan(np.asarray(candidates.values)).reshape(n, -1).any(axis=1)
-    rows = np.asarray(rows, dtype=float)
-    rows_unit = (rows / np.linalg.norm(rows, axis=-1, keepdims=True)).reshape(n, 5, 9)
-    constraint = np.asarray(constraint, dtype=float).reshape(n, 10, 20)
-
-    finite = np.all(np.isfinite(triples), axis=2)
-    realish = finite & (np.max(np.abs(triples.imag), axis=2) <= REAL_IMAG_TOL)
-    w = triples.real
-    units = np.zeros(realish.shape + (9,))
-    residuals = np.full(realish.shape, np.inf)
-    real = np.nonzero(realish)
-    units[real], residuals[real] = _unit_residuals(w[real], charts[real[0]],
-                                                   rows_unit[real[0]])
-    redo = np.nonzero(realish & ~(residuals <= TOL_INVARIANT))
-    if redo[0].size:
-        owner = redo[0]
-        refined = _refine_on_chart(w[redo], constraint[owner])
-        units[redo], residuals[redo] = _unit_residuals(refined, charts[owner], rows_unit[owner])
-    return broken, realish & (residuals <= ACCEPT_RESIDUAL), units, residuals
-
-
-def validate_and_count(candidates, rows, basis, constraint, retries=0):
+def validate_and_count(candidates, rows, basis, constraint) -> StackResult:
     """Filter and refine candidate solutions, and count the accepted ones.
 
     Keeps candidates whose imaginary parts are below 1e-6 and accepts a
@@ -377,125 +347,49 @@ def validate_and_count(candidates, rows, basis, constraint, retries=0):
     misses 1e-9 before is refined by Gauss-Newton first.  No candidates
     are merged: each simple real eigenvalue of the action matrix is one
     solution, so close candidates are distinct solutions, and a double
-    eigenvalue counted twice keeps the count even.  An odd count is
-    reported as status "failed" with reason "parity" so the caller can
-    re-randomize the chart and retry.  Every accepted solution becomes an
-    :class:`EssentialMatrix` through ``EssentialMatrix.trusted`` with the
-    residual it was accepted at, so a solution is returned for each one
-    counted.
+    eigenvalue counted twice keeps the count even.  An odd count fails
+    the instance with reason "parity" so the caller can re-randomize the
+    chart and retry.
 
     ``candidates`` are the :class:`EigenCandidates` of the action matrices
-    built from ``constraint`` (10x20 per instance) over the kernel
-    ``basis`` (4x9) of ``rows`` (5x9).  For a stack, ``basis`` is
-    (N, 4, 9), ``rows`` (N, 5, 9) and ``constraint`` (N, 10, 20), the
-    candidates are split evenly among the instances, and ``retries`` may
-    give one count per instance; the result is a :class:`CountResults`.
-    An instance whose eigenvalues are NaN (its elimination or
-    eigen-iteration failed) fails with reason "elimination".
+    built from ``constraint`` (N, 10, 20) over the kernel bases ``basis``
+    (N, 4, 9) of ``rows`` (N, 5, 9); they are split evenly among the
+    instances.  An instance whose eigenvalues are NaN (its elimination or
+    eigen-iteration failed) fails with reason "elimination".  The result
+    has ``retries`` 0.
     """
-    broken, kept, units, residuals = _validate(candidates, rows, basis, constraint)
-    n = kept.shape[0]
-    retries = np.zeros(n, dtype=np.int64) + retries
-    counts = kept.sum(axis=1)
-    residual_max = np.max(np.where(kept, residuals, 0.0), axis=1, initial=0.0)
-
-    results = []
-    for i in range(n):
-        tries = int(retries[i])
-        if broken[i]:
-            results.append(CountResult(0, (), "failed", tries, "elimination", 0.0))
-        elif counts[i] % 2:
-            results.append(CountResult(int(counts[i]), (), "failed", tries, "parity",
-                                       float(residual_max[i])))
-        else:
-            mats = units[i, kept[i]] * np.sqrt(2.0)     # half-trace norm 1
-            solutions = tuple(EssentialMatrix.trusted(mat.reshape(3, 3), residual)
-                              for mat, residual in zip(mats, residuals[i, kept[i]]))
-            results.append(CountResult(len(solutions), solutions,
-                                       "retried" if tries else "ok", tries, "",
-                                       float(residual_max[i])))
-    return results[0] if np.ndim(basis) == 2 else CountResults(results)
-
-
-def _solve_rounds(rows, basis, rngs, retries, validate):
-    """The retry loop shared by :func:`solve_batch` and :func:`count_batch`.
-
-    Runs every stage on the whole stack, then again on the instances that
-    failed, each on a new chart drawn from its own generator, until every
-    instance is solved or out of retries.  ``validate(candidates, rows,
-    charts, constraint, mixes)`` judges one round: it returns the reason
-    codes of the round's instances, then their counts and their results,
-    either of which may be None.  Returns the final reason, count (0 for a
-    failure), retries and result of every instance.
-    """
-    rows = np.asarray(rows, dtype=float)
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[0]
-    charts = basis.copy()
-    mixes = np.zeros(n, dtype=np.int64)
-    parity_used = np.zeros(n, dtype=bool)
-    reason = np.zeros(n, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
-    results = [None] * n
-    todo = np.arange(n)
-    while todo.size:
-        constraint = build_constraint_matrix(charts[todo])
-        codes, counts, judged = validate(eigen_candidates(action_matrix(constraint)),
-                                         rows[todo], charts[todo], constraint, mixes[todo])
-        reason[todo] = codes
-        if counts is not None:
-            count[todo] = counts
-        if judged is not None:
-            for i, result in zip(todo, judged):
-                results[i] = result
-        todo = todo[codes != SOLVED]
-        if todo.size:
-            parity = reason[todo] == PARITY
-            todo = todo[(mixes[todo] < retries) & ~(parity & parity_used[todo])]
-            parity_used[todo] |= reason[todo] == PARITY
-            mixes[todo] += 1
-            for i in todo:
-                charts[i] = _haar_o4(rngs[i]) @ basis[i]
-    count[reason != SOLVED] = 0
-    return reason, count, mixes, results
+    triples = np.asarray(candidates.triples, dtype=complex).reshape(n, -1, 3)
+    broken = np.isnan(np.asarray(candidates.values)).reshape(n, -1).any(axis=1)
+    rows = np.asarray(rows, dtype=float)
+    rows_unit = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    constraint = np.asarray(constraint, dtype=float)
+
+    finite = np.all(np.isfinite(triples), axis=2)
+    realish = finite & (np.max(np.abs(triples.imag), axis=2) <= REAL_IMAG_TOL)
+    w = triples.real
+    units = np.zeros(realish.shape + (9,))
+    residuals = np.full(realish.shape, np.inf)
+    real = np.nonzero(realish)
+    units[real], residuals[real] = _unit_residuals(w[real], basis[real[0]],
+                                                   rows_unit[real[0]])
+    redo = np.nonzero(realish & ~(residuals <= TOL_INVARIANT))
+    if redo[0].size:
+        owner = redo[0]
+        refined = _refine_on_chart(w[redo], constraint[owner])
+        units[redo], residuals[redo] = _unit_residuals(refined, basis[owner], rows_unit[owner])
+
+    kept = realish & (residuals <= ACCEPT_RESIDUAL)
+    count = kept.sum(axis=1)
+    reason = np.where(broken, ELIMINATION, np.where(count % 2, PARITY, SOLVED))
+    return StackResult(np.where(reason == SOLVED, count, 0), reason,
+                       np.zeros(n, dtype=np.int64), kept,
+                       (units * np.sqrt(2.0)).reshape(units.shape[:-1] + (3, 3)), residuals)
 
 
-def _judge_counts(candidates, rows, charts, constraint, mixes):
-    broken, kept, _, _ = _validate(candidates, rows, charts, constraint)
-    counts = kept.sum(axis=1)
-    return np.where(broken, ELIMINATION, np.where(counts % 2, PARITY, SOLVED)), counts, None
-
-
-def _judge_results(candidates, rows, charts, constraint, mixes):
-    judged = validate_and_count(candidates, rows, charts, constraint, retries=mixes)
-    return np.array([FAILURE_REASONS.index(r.reason) for r in judged]), None, judged
-
-
-class StackCounts(NamedTuple):
-    """Outcome of every instance of a stack, as arrays (see :func:`count_batch`)."""
-
-    count: np.ndarray     # real solutions; 0 for a failed instance
-    reason: np.ndarray    # index into FAILURE_REASONS; SOLVED (0) unless failed
-    retries: np.ndarray   # charts re-randomized
-
-    @property
-    def failed(self) -> np.ndarray:
-        return self.reason != SOLVED
-
-
-def count_batch(rows, basis, rngs, retries: int = 5) -> StackCounts:
-    """:func:`solve_batch` reduced to counts: the same rule, no solution objects.
-
-    Each instance's count, failure reason and retries are those of its
-    :class:`CountResult` from :func:`solve_batch` on the same input and
-    generators (a failed instance counts 0).
-    """
-    reason, count, mixes, _ = _solve_rounds(rows, basis, rngs, retries, _judge_counts)
-    return StackCounts(count, reason, mixes)
-
-
-def solve_batch(rows, basis, rngs, retries: int = 5) -> CountResults:
-    """Solve a stack of instances together, one :class:`CountResult` each.
+def solve_batch(rows, basis, rngs, retries: int = 5) -> StackResult:
+    """Solve a stack of instances together; one row of arrays per instance.
 
     ``rows`` (N, 5, 9) have numerical rank 5 and ``basis`` (N, 4, 9) holds
     their kernel bases, as :func:`nullspace_basis` gives them.  Every stage
@@ -504,14 +398,32 @@ def solve_batch(rows, basis, rngs, retries: int = 5) -> CountResults:
     of its basis (a new chart) drawn from its own generator ``rngs[i]``,
     up to ``retries`` times; a parity failure earns one extra
     re-randomized attempt.  The instances that need a new chart rerun the
-    stages together, so each instance gets the count, status and retries
-    it gets alone.
+    stages together, so each instance gets the result it gets alone.
     """
-    reason, _, mixes, results = _solve_rounds(rows, basis, rngs, retries, _judge_results)
-    return CountResults(
-        result if code == SOLVED
-        else CountResult(0, (), "failed", int(tries), FAILURE_REASONS[code], 0.0)
-        for code, tries, result in zip(reason, mixes, results))
+    rows = np.asarray(rows, dtype=float)
+    basis = np.asarray(basis, dtype=float)
+    n = basis.shape[0]
+    charts = basis.copy()
+    out = StackResult(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                      np.zeros(n, dtype=np.int64), np.zeros((n, 10), dtype=bool),
+                      np.zeros((n, 10, 3, 3)), np.full((n, 10), np.inf))
+    parity_used = np.zeros(n, dtype=bool)
+    todo = np.arange(n)
+    while todo.size:
+        constraint = build_constraint_matrix(charts[todo])
+        judged = validate_and_count(eigen_candidates(action_matrix(constraint)),
+                                    rows[todo], charts[todo], constraint)
+        for field in ("count", "reason", "kept", "solutions", "residuals"):
+            getattr(out, field)[todo] = getattr(judged, field)
+        todo = todo[judged.reason != SOLVED]
+        if todo.size:
+            parity = out.reason[todo] == PARITY
+            todo = todo[(out.retries[todo] < retries) & ~(parity & parity_used[todo])]
+            parity_used[todo] |= out.reason[todo] == PARITY
+            out.retries[todo] += 1
+            for i in todo:
+                charts[i] = _haar_o4(rngs[i]) @ basis[i]
+    return out
 
 
 def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountResult:
@@ -520,13 +432,24 @@ def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountRes
     Nullspace chart, action matrix, eigen candidates, validation; on
     elimination or eigen-iteration failure the solve is retried on a new
     chart, up to ``retries`` times, and a parity failure earns one extra
-    re-randomized attempt.  Deterministic for a fixed ``rng`` seed.
+    re-randomized attempt.  Every accepted solution becomes an
+    :class:`EssentialMatrix` through ``EssentialMatrix.trusted`` with the
+    residual it was accepted at.  Deterministic for a fixed ``rng`` seed.
     """
     if not isinstance(space, LinearSpace):
         space = LinearSpace(np.asarray(space))
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return solve_batch(space.rows[None], space.basis[None], [rng], retries)[0]
+    out = solve_batch(space.rows[None], space.basis[None], [rng], retries)
+    tries = int(out.retries[0])
+    if out.reason[0] != SOLVED:
+        return CountResult(0, (), "failed", tries, FAILURE_REASONS[out.reason[0]], 0.0)
+    kept = out.kept[0]
+    residuals = out.residuals[0, kept]
+    solutions = tuple(EssentialMatrix.trusted(mat, residual)
+                      for mat, residual in zip(out.solutions[0, kept], residuals))
+    return CountResult(len(solutions), solutions, "retried" if tries else "ok", tries, "",
+                       float(np.max(residuals, initial=0.0)))
 
 
 def _pencil_coefficients(a: np.ndarray, b: np.ndarray):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from essential_lab import distributions as dist
 from essential_lab import montecarlo as mc
 from essential_lab import solver as sv
-from essential_lab.errors import EliminationFailed, RankDeficient
+from essential_lab.errors import RankDeficient
 from essential_lab.geometry import EssentialMatrix
 
 from oracles import planted_instance, projective_distance
@@ -33,13 +33,28 @@ def chart_generators(n, seed=3):
     return [np.random.default_rng([seed, i]) for i in range(n)]
 
 
-def assert_same_result(alone, stacked):
-    assert (stacked.real_count, stacked.status, stacked.retries, stacked.reason) == \
-        (alone.real_count, alone.status, alone.retries, alone.reason)
-    for sol in stacked.solutions:
-        vec = sol.m.ravel() / np.sqrt(2.0)
-        gap = min(projective_distance(vec, other.m.ravel() / np.sqrt(2.0))
-                  for other in alone.solutions)
+def outcome(result, i=0):
+    """(count, status, retries, reason) and solution matrices of one instance.
+
+    ``result`` is the CountResult of solve_five_point, or a StackResult of
+    which instance ``i`` is read.
+    """
+    if isinstance(result, sv.CountResult):
+        return ((result.real_count, result.status, result.retries, result.reason),
+                [sol.m for sol in result.solutions])
+    code, tries = result.reason[i], int(result.retries[i])
+    status = "failed" if code != sv.SOLVED else "retried" if tries else "ok"
+    mats = result.solutions[i, result.kept[i]] if code == sv.SOLVED else []
+    return (int(result.count[i]), status, tries, sv.FAILURE_REASONS[code]), list(mats)
+
+
+def assert_same_result(alone, stacked, i):
+    """Instance ``i`` of the StackResult ``stacked`` against ``alone``, solved by itself."""
+    (head, mats), (alone_head, alone_mats) = outcome(stacked, i), outcome(alone)
+    assert head == alone_head and len(mats) == len(alone_mats)
+    for mat in mats:
+        gap = min(projective_distance(mat.ravel() / np.sqrt(2.0), other.ravel() / np.sqrt(2.0))
+                  for other in alone_mats)
         assert gap <= 1e-10
 
 
@@ -63,17 +78,6 @@ def sample(kind, rngs):
     if kind == "unifG":
         return dist.sample_unifG(rngs)
     return dist.sample_psi(rngs) if kind == "psi" else dist.sample_box(rngs, BOXES55)
-
-
-def solo_outcome(result):
-    """(count, reason, retries) of a CountResult, as count_batch reports them."""
-    return (0 if result.failed else result.real_count, result.reason, result.retries)
-
-
-def counted_outcome(counted, i):
-    """(count, reason, retries) of instance i of a count_batch result."""
-    return (int(counted.count[i]), sv.FAILURE_REASONS[counted.reason[i]],
-            int(counted.retries[i]))
 
 
 class TestStackedSampling:
@@ -118,11 +122,14 @@ class TestSolveBatch:
     def test_stack_matches_one_at_a_time(self):
         rows, basis = corpus()
         stacked = sv.solve_batch(rows, basis, chart_generators(len(rows)))
-        assert len(stacked) == len(rows) == 300
+        assert len(stacked.count) == len(rows) == 300
+        total = 0
         for i, rng in enumerate(chart_generators(len(rows))):
-            assert_same_result(sv.solve_five_point(rows[i], rng=rng), stacked[i])
+            alone = sv.solve_five_point(rows[i], rng=rng)
+            assert_same_result(alone, stacked, i)
+            total += alone.real_count
         assert not stacked.failed
-        assert stacked.real_count == sum(r.real_count for r in stacked)
+        assert stacked.real_count == total
 
     def test_retried_rows_match_their_solo_results(self):
         rng = np.random.default_rng(5)
@@ -133,14 +140,18 @@ class TestSolveBatch:
         for retries in (5, 0):
             stacked = sv.solve_batch(rows, basis, chart_generators(len(rows)), retries)
             for i, gen in enumerate(chart_generators(len(rows))):
-                alone = sv.solve_batch(rows[i:i + 1], basis[i:i + 1], [gen], retries)[0]
-                assert_same_result(alone, stacked[i])
-            retried = [r for r in stacked if r.retries or r.failed]
-            assert len(retried) == 4
+                alone = sv.solve_batch(rows[i:i + 1], basis[i:i + 1], [gen], retries)
+                assert_same_result(alone, stacked, i)
+            retried = (stacked.retries > 0) | (stacked.reason != sv.SOLVED)
+            assert np.flatnonzero(retried).tolist() == [8, 9, 10, 11]
             if retries:
-                assert all(r.status == "retried" for r in retried)
+                assert np.all(stacked.reason[retried] == sv.SOLVED)
             else:
-                assert all(r.reason == "elimination" for r in retried)
+                assert np.all(stacked.reason[retried] == sv.ELIMINATION)
+                # read as one result, a stack fails only when every instance fails
+                assert not stacked.failed
+                assert sv.solve_batch(rows[retried], basis[retried],
+                                      chart_generators(4), retries).failed
 
     def test_streams_chunk_with_forced_retries_matches_solo_results(self):
         seed, n, forced = 41, 12, [1, 6, 11]
@@ -149,22 +160,19 @@ class TestSolveBatch:
         rng = np.random.default_rng(5)
         for i in forced:
             rows[i], basis[i] = forced_retry_instance(rng)
-        counted = sv.count_batch(rows, basis, streams)
-        assert np.all(counted.retries[forced] > 0) and not counted.failed.any()
+        on_streams = sv.solve_batch(rows, basis, streams)
+        assert np.all(on_streams.retries[forced] > 0) and np.all(on_streams.reason == sv.SOLVED)
         rngs = [dist.rng_for(seed, i) for i in range(n)]
         dist.sample_psi(rngs)
         solved = sv.solve_batch(rows, basis, rngs)
-        replayed = dist.Streams(seed, 0, n)
-        dist.sample_psi(replayed)
         # the new charts come from each instance's own stream, at the same position
-        for a, b in zip(solved, sv.solve_batch(rows, basis, replayed)):
-            assert all(np.array_equal(x.m, y.m) for x, y in zip(a.solutions, b.solutions))
-        for i, result in enumerate(solved):
+        for a, b in zip(on_streams, solved):
+            assert np.array_equal(a, b)
+        for i in range(n):
             alone = dist.rng_for(seed, i)
             dist.sample_psi([alone])
-            assert_same_result(sv.solve_batch(rows[i:i + 1], basis[i:i + 1], [alone])[0],
-                               result)
-            assert counted_outcome(counted, i) == solo_outcome(result)
+            assert_same_result(sv.solve_batch(rows[i:i + 1], basis[i:i + 1], [alone]),
+                               solved, i)
 
     @pytest.mark.parametrize("kind", ["unifG", "psi"])
     def test_rank_deficient_draws_are_redrawn_from_their_own_stream(self, kind, monkeypatch):
@@ -181,28 +189,15 @@ class TestSolveBatch:
         monkeypatch.setattr(dist, "nullspace_basis", rank_deficient_first_draws)
         streams = dist.Streams(seed, 0, n)
         rows, basis = sample(kind, streams)
-        counted = sv.count_batch(rows, basis, streams)
+        on_streams = sv.solve_batch(rows, basis, streams)
         for i in range(n):
             alone = dist.rng_for(seed, i)
             alone_rows, alone_basis = sample(kind, [alone])
             assert np.array_equal(rows[i:i + 1], alone_rows)
             assert np.array_equal(basis[i:i + 1], alone_basis)
             assert rows[i].tobytes() not in first
-            result = sv.solve_batch(alone_rows, alone_basis, [alone])[0]
-            assert counted_outcome(counted, i) == solo_outcome(result)
+            assert_same_result(sv.solve_batch(alone_rows, alone_basis, [alone]), on_streams, i)
             assert np.array_equal(streams[i].standard_normal(4), alone.standard_normal(4))
-
-    def test_count_batch_counts_what_solve_batch_returns(self):
-        rows, basis = corpus(per_kind=30)
-        rng = np.random.default_rng(8)
-        forced = [forced_retry_instance(rng) for _ in range(3)]
-        rows = np.concatenate([rows, [r for r, _ in forced]])
-        basis = np.concatenate([basis, [b for _, b in forced]])
-        for retries in (5, 0):
-            counted = sv.count_batch(rows, basis, chart_generators(len(rows)), retries)
-            solved = sv.solve_batch(rows, basis, chart_generators(len(rows)), retries)
-            assert [counted_outcome(counted, i) for i in range(len(rows))] == \
-                [solo_outcome(result) for result in solved]
 
     def test_experiments_build_no_essential_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -224,8 +219,9 @@ class TestSolveBatch:
         assert np.all(np.isfinite(t[0])) and np.all(np.isnan(t[1]))
         values, _ = sv.eigen_candidates(t)
         assert np.all(np.isfinite(values[:10])) and np.all(np.isnan(values[10:]))
-        with pytest.raises(EliminationFailed):
-            sv.action_matrix(sv.build_constraint_matrix(bad))
+        alone = sv.action_matrix(sv.build_constraint_matrix(bad[None]))
+        assert alone.shape == (1, 10, 10) and np.all(np.isnan(alone))
+        assert np.all(np.isnan(sv.eigen_candidates(alone).values))
 
 
 def mixing_matrix(rng):
@@ -252,3 +248,20 @@ class TestMetamorphic:
         swapped = rows.reshape(5, 3, 3).transpose(0, 2, 1).reshape(5, 9)
         base = sv.solve_five_point(rows, rng=0)
         assert sv.solve_five_point(swapped, rng=0).real_count == base.real_count
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["unifG", "psi"]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_solutions_follow_rotations_of_both_sides(self, seed, kind):
+        """Rows R -> U R V^T map each solution E to U E V^T, for rotations U and V."""
+        rng = dist.rng_for(seed, 0)
+        rows = sample(kind, [rng])[0][0]
+        u, v = dist.haar_rotations(rng.standard_normal((2, 3, 3)))
+        moved = (u @ rows.reshape(5, 3, 3) @ v.T).reshape(5, 9)
+        base = sv.solve_five_point(rows, rng=0)
+        turned = sv.solve_five_point(moved, rng=0)
+        assert not base.failed and turned.real_count == base.real_count
+        for sol in base.solutions:
+            image = (u @ sol.m @ v.T).ravel() / np.sqrt(2.0)
+            gap = min(projective_distance(image, other.m.ravel() / np.sqrt(2.0))
+                      for other in turned.solutions)
+            assert gap <= 1e-8

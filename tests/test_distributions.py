@@ -338,8 +338,8 @@ class TestUnifGInvariance:
             rows = streams.fill(dist._normals, np.empty((len(streams), 5, 9))) @ q
             basis = sv.nullspace_basis(rows)
             assert not np.isnan(basis).any()
-            counted = sv.count_batch(rows, basis, streams)
-            hist += np.bincount(counted.count[~counted.failed], minlength=11)
+            solved = sv.solve_batch(rows, basis, streams)
+            hist += np.bincount(solved.count[solved.reason == sv.SOLVED], minlength=11)
         base = np.array(unifg_100k.histogram)[[0, 2, 4, 6, 8, 10]]
         rotated = hist[[0, 2, 4, 6, 8, 10]]
         table = np.stack([base, rotated])

@@ -7,7 +7,7 @@ import pytest
 
 from essential_lab import distributions as dist
 from essential_lab import solver as sv
-from essential_lab.errors import DegeneratePencil, EliminationFailed, RankDeficient
+from essential_lab.errors import DegeneratePencil, RankDeficient
 from essential_lab.geometry import demazure_residuals
 
 from oracles import cubic_residuals_direct, planted_instance, projective_distance
@@ -68,8 +68,8 @@ class TestNullspaceBasis:
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((5, 9))
         rows[1] = rows[0]
-        with pytest.raises(RankDeficient):
-            sv.nullspace_basis(rows)
+        basis = sv.nullspace_basis(rows[None])
+        assert basis.shape == (1, 4, 9) and np.all(np.isnan(basis))
 
 
 class TestConstraintMatrix:
@@ -127,8 +127,8 @@ class TestActionMatrix:
         basis = random_orthonormal_basis(rng)
         matrix = sv.build_constraint_matrix(basis)
         matrix[1] = matrix[0]
-        with pytest.raises(EliminationFailed):
-            sv.action_matrix(matrix)
+        op = sv.action_matrix(matrix[None])
+        assert op.shape == (1, 10, 10) and np.all(np.isnan(op))
 
 
 class TestEigenCandidates:
@@ -200,12 +200,13 @@ class TestValidateAndSolve:
             assert not result.failed
             assert result.real_count in {0, 2, 4, 6, 8, 10}
 
-    def test_projective_invariance_of_row_scaling(self):
+    @pytest.mark.parametrize("scale", [1e-8, 1e6, 1e8])
+    def test_projective_invariance_of_row_scaling(self, scale):
         rng = np.random.default_rng(14)
         rows = rng.standard_normal((5, 9))
         base = sv.solve_five_point(sv.LinearSpace(rows), rng=0)
         scaled_rows = rows.copy()
-        scaled_rows[2] *= 1e6
+        scaled_rows[2] *= scale
         scaled = sv.solve_five_point(sv.LinearSpace(scaled_rows), rng=0)
         assert scaled.real_count == base.real_count
         for sol in base.solutions:
@@ -232,14 +233,13 @@ class TestValidateAndSolve:
         shifted = sv.EigenCandidates(cands.values[real][:2], cands.triples[real][:2].real + 2.1e-9)
         # a zero constraint matrix makes Gauss-Newton a no-op, so the shift stays
         zero = np.zeros((1, 10, 20))
-        [result] = sv.validate_and_count(shifted, rows, basis, zero)
-        residuals = sorted(s.residual for s in result.solutions)
-        assert result.status == "ok" and result.real_count == len(result.solutions) == 2
+        result = sv.validate_and_count(shifted, rows, basis, zero)
+        assert (result.count.tolist(), result.reason.tolist()) == ([2], [sv.SOLVED])
+        assert result.kept.tolist() == [[True, True]]
+        residuals = sorted(result.residuals[0])
         assert residuals[0] == pytest.approx(1.0e-9, rel=0.05)
         assert residuals[1] == pytest.approx(3.0e-9, rel=0.05)
-        assert result.residual_max == residuals[1]
-        _, kept, _, _ = sv._validate(shifted, rows, basis, zero)
-        assert int(kept.sum()) == result.real_count
+        assert np.all(np.abs(demazure_residuals(result.solutions[0])) <= 1e-8)
 
     def test_validate_reports_parity_failure(self):
         rng = np.random.default_rng(16)
@@ -252,8 +252,10 @@ class TestValidateAndSolve:
             pytest.skip("instance has fewer than two real candidates")
         # drop one genuine real candidate: surviving count is odd
         reals = sv.EigenCandidates(cands.values[real][1:], cands.triples[real][1:])
-        result = sv.validate_and_count(reals, rows, basis, constraint)
-        assert result.failed and result.reason == "parity"
+        result = sv.validate_and_count(reals, rows[None], basis[None], constraint[None])
+        assert (result.count.tolist(), result.reason.tolist()) == ([0], [sv.PARITY])
+        assert result.failed and result.kept.sum() % 2 == 1
+        assert np.all(result.residuals[result.kept] <= 1e-8)
 
     @pytest.mark.parametrize("case", CLOSE_PAIRS,
                              ids=lambda case: re.sub(r"\W+", "-", case["source"]).strip("-"))
