@@ -10,8 +10,8 @@ Three distributions of codimension-5 linear spaces are provided:
   the affine chart, the distribution used for camera-like experiments.
 
 The base quadric u^T E0 v = 0 lives here too: ``quadric_draw``,
-``quadric_param`` and ``quadric_z`` give its parameters, correspondences
-and z-vectors, whose determinant ensemble reproduces the correspondence
+``quadric_param`` and ``quadric_z_in_place`` give its parameters,
+correspondences and z-vectors, whose determinant ensemble reproduces the correspondence
 average; the box Metropolis-Hastings chain proposes from it.
 
 Every sampler draws from explicit ``numpy.random.Generator`` objects.  For
@@ -246,21 +246,42 @@ def sample_box(rngs, boxes):
 _Z_SLICE = 65_536    # z-vectors mapped at a time, so the map's temporaries stay small
 
 
+def quadric_z_in_place(p: np.ndarray) -> np.ndarray:
+    """Overwrite quadric parameters p (5, n, ...) with their z-vectors; return p.
+
+    Rows a, b, r, s, theta become (b r sin, b r cos, a s sin, a s cos, r s),
+    i.e. (v0 u2, v0 u1, u0 v2, u0 v1, u1 v1 + u2 v2) of the correspondence
+    (u, v) that :func:`quadric_param` gives for the same parameters.  p may
+    be a strided view, such as ``np.moveaxis(q, -1, 0)`` of parameters q
+    (..., 5); it is mapped ``_Z_SLICE`` entries of axis 1 at a time, so the
+    only temporaries are the sines and cosines of one slice.
+    """
+    for lo in range(0, p.shape[1], _Z_SLICE):
+        a, b, r, s, theta = p[:, lo:lo + _Z_SLICE]
+        sin, cos = np.sin(theta), np.cos(theta)
+        # each parameter is read before its row is overwritten
+        np.multiply(r, s, out=theta)
+        np.multiply(b, r, out=b)
+        np.multiply(a, s, out=r)
+        np.multiply(r, cos, out=s)
+        r *= sin
+        np.multiply(b, sin, out=a)
+        b *= cos
+    return p
+
+
 def _z_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     """n z-vectors (n, 5): a, b, r, s drawn as four rows of n normals, then n thetas.
 
-    The parameters (5, n) are overwritten by their z-vectors slice by
-    slice; the result is the transposed view of that one array.
+    The parameters (5, n) are overwritten by their z-vectors in place; the
+    result is the transposed view of that one array.
     """
     p = np.empty((5, n))
     rng.standard_normal(out=p[:4])
     # random() scaled in place draws what uniform(0, 2 pi, n) draws, with no temporary
     rng.random(out=p[4])
     p[4] *= 2.0 * np.pi
-    for lo in range(0, n, _Z_SLICE):
-        part = p[:, lo:lo + _Z_SLICE]
-        part[...] = quadric_z(part.T).T
-    return p.T
+    return quadric_z_in_place(p).T
 
 
 def sample_z_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -291,18 +312,6 @@ def quadric_param(a5: np.ndarray) -> np.ndarray:
     u = np.stack([a, r * cos, r * sin], axis=-1)
     v = np.stack([b, s * cos, s * sin], axis=-1)
     return np.stack([u, v], axis=-2)
-
-
-def quadric_z(p: np.ndarray) -> np.ndarray:
-    """z-vectors (..., 5) of quadric parameters (..., 5).
-
-    Each is (b r sin, b r cos, a s sin, a s cos, r s), i.e.
-    (v0 u2, v0 u1, u0 v2, u0 v1, u1 v1 + u2 v2) of the correspondence
-    (u, v) that :func:`quadric_param` gives for the same parameters.
-    """
-    a, b, r, s, theta = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
-    sin, cos = np.sin(theta), np.cos(theta)
-    return np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=-1)
 
 
 def rotated_quadric_draw(rng: np.random.Generator, m: int):

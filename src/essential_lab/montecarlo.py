@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from multiprocessing import Pool
 
 import numpy as np
@@ -39,25 +40,55 @@ DET_TO_COUNT = math.pi ** 3 / 4.0
 VOL_ESSENTIAL = 2.0 * math.pi ** 3
 
 
+_EXACT_SLICE = 2 ** 25      # float64 sums of this many 27-bit integers are exact
+
+
+def _exact_sum(x: np.ndarray) -> Fraction:
+    """The exact sum of finite floats x (one dimension).
+
+    Each value is m 2^(e - 53) with an integer |m| < 2^53 (``np.frexp``).
+    The high and low 26-bit halves of m are summed per exponent e, which
+    float64 does exactly for up to ``_EXACT_SLICE`` values, and these sums
+    are added as Python integers.
+    """
+    if len(x) > _EXACT_SLICE:
+        return _exact_sum(x[:_EXACT_SLICE]) + _exact_sum(x[_EXACT_SLICE:])
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the values must be finite")
+    m, e = np.frexp(x)
+    m = (m * 2.0 ** 53).astype(np.int64)
+    e0 = int(e.min())
+    e -= e0
+    total = 0
+    for k, (high, low) in enumerate(zip(np.bincount(e, m >> 26), np.bincount(e, m & 0x3ffffff))):
+        total += ((int(high) << 26) + int(low)) << k
+    return Fraction(total) * Fraction(2) ** (e0 - 53)
+
+
 def mean_stderr(chunks):
     """Mean and standard error of the values in an iterable of arrays, along axis 0.
 
-    Sums of d = x - c and of d^2 are taken chunk by chunk, with c the mean
-    of the first chunk, so that the spread is not lost to cancellation.
+    The mean is the exact sum over n, rounded once: the sums of each
+    chunk's columns are exact (:func:`_exact_sum`).  The variance takes
+    sums of d = x - c and of d^2 chunk by chunk, with c the mean of the
+    first chunk, so that the spread is not lost to cancellation.
     One-dimensional chunks give two floats; chunks (m, k) give two lists
-    of k values.
+    of k values.  A value that is not finite raises ``ValueError``.
     """
     n, shift = 0, None
     for x in chunks:
         if shift is None:
             shift, total, squares = x.mean(axis=0), 0.0, 0.0
+            sums = [0] * np.size(shift)
+        sums = [t + _exact_sum(column) for t, column in zip(sums, x.reshape(len(x), -1).T)]
         d = x - shift
         n += len(d)
         total, squares = total + d.sum(axis=0), squares + (d * d).sum(axis=0)
         del x, d        # freed before the next chunk is drawn, which sets the peak memory
     mean = total / n
     variance = np.maximum(squares - n * mean * mean, 0.0) / max(n - 1, 1)
-    return (shift + mean).tolist(), np.sqrt(variance / n).tolist()
+    means = np.reshape([float(t / n) for t in sums], np.shape(shift))
+    return means.tolist(), np.sqrt(variance / n).tolist()
 
 
 @dataclass
@@ -244,8 +275,9 @@ def estimate_count_integral(n: int, seed: int, boxes=None) -> IntegralEstimate:
         for index, start in enumerate(range(0, n, 50_000)):
             p, points = dists.rotated_quadric_draw(dists.rng_for(seed, index),
                                                    min(50_000, n - start))
+            dists.quadric_z_in_place(np.moveaxis(p, -1, 0))
             # columns of Z are the five z-vectors
-            dets = np.abs(np.linalg.det(np.swapaxes(dists.quadric_z(p), 1, 2)))
+            dets = np.abs(np.linalg.det(np.swapaxes(p, 1, 2)))
             weights = 1.0 if boxes is None else dists.box_weights(points, boxes)
             yield (VOL_ESSENTIAL / 8.0) * weights * dets
 

@@ -296,8 +296,10 @@ def verify_detB_identity(n: int = 100_000, seed: int = 0) -> dict:
     p = dists.quadric_draw(dists.rng_for(seed, 0), (n, 5))
     # rows of B for u=(a, r w), v=(b, s w): sqrt2*(br sin, br cos, as sin, as cos), rs,
     # the z-vectors of the draw with a and b scaled by sqrt2
-    root2 = math.sqrt(2.0)
-    det_b = np.abs(np.linalg.det(dists.quadric_z(p * [root2, root2, 1.0, 1.0, 1.0])))
+    p[..., :2] *= math.sqrt(2.0)
+    dists.quadric_z_in_place(np.moveaxis(p, -1, 0))
+    det_b = np.abs(np.linalg.det(p))
+    del p       # freed before the z-matrices are drawn
 
     rng2 = dists.rng_for(seed, 1)
     det_z = np.abs(np.linalg.det(dists.sample_z_matrices(rng2, n)))

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 
 from .errors import DomainError
@@ -35,8 +34,8 @@ MEMBERSHIP_TOL = 1e-9
 def elliptic_E(m) -> float | np.ndarray:
     """Complete elliptic integral of the second kind, parameter m in [0, 1].
 
-    Arithmetic-geometric-mean iteration; absolute error below 1e-12.
-    Accepts scalars or arrays.
+    Arithmetic-geometric-mean iteration; absolute error below 1e-13.
+    Accepts scalars or arrays; each value is computed as it would be alone.
     """
     arr = np.asarray(m, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -53,12 +52,16 @@ def elliptic_E(m) -> float | np.ndarray:
         b = np.sqrt(1.0 - mm)
         c2_sum = 0.5 * mm          # 2^(n-1) c_n^2 accumulated from c_0^2 = m
         power = 0.5
+        live = np.ones(mm.shape, dtype=bool)
         for _ in range(60):
-            c = 0.5 * (a - b)
-            a, b = 0.5 * (a + b), np.sqrt(a * b)
+            # each value stops at its own |c| <= 2^-52 a (1e-16 a fails where a and
+            # b settle one ulp apart below 0.555), so it does not depend on the others
+            c = np.where(live, 0.5 * (a - b), 0.0)
+            a, b = np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b)
             power *= 2.0
             c2_sum += power * c * c
-            if np.max(np.abs(c)) < 1e-17:
+            live &= np.abs(c) > 2.0 ** -52 * a
+            if not live.any():
                 break
         k = np.pi / (2.0 * a)
         out[rest] = k * (1.0 - c2_sum)
@@ -103,85 +106,81 @@ def hL_support(rho) -> float | np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _elliptic_e_scalar(m: float) -> float:
-    """Scalar AGM path for the inner loops of the membership polish."""
-    if m == 1.0:
-        return 1.0
-    a = 1.0
-    b = math.sqrt(1.0 - m)
-    c2_sum = 0.5 * m
-    power = 0.5
-    for _ in range(60):
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        power *= 2.0
-        c2_sum += power * c * c
-        if abs(c) < 1e-16 * a:
-            break
-    return (math.pi / (2.0 * a)) * (1.0 - c2_sum)
+def _directions(theta, phi) -> np.ndarray:
+    """Unit directions (..., 3) at polar angle theta and azimuth phi."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def _hl_scalar(r1: float, r2: float, r3: float) -> float:
-    best = max(0.0, (2.0 / math.pi ** 2) * r1, (2.0 / math.pi ** 2) * r2,
-               (1.0 / math.pi) * r3)
-    for x in (r1, r2):
-        rad2 = x * x + r3 * r3
-        if rad2 > 0.0:
-            f = (2.0 / math.pi ** 2) * math.sqrt(rad2) * _elliptic_e_scalar(
-                min(max(x * x / rad2, 0.0), 1.0))
-            best = max(best, f)
+#: The eight compass moves (d theta, d phi) of the polish, in units of its step.
+_MOVES = np.array([(dt, dp) for dt in (-1, 0, 1) for dp in (-1, 0, 1) if dt or dp], float).T
+_POLISH_STOP = 1e-13
+_POLISH_CELLS = 12       # worst scan cells polished per point
+
+
+def _margin(q, theta, phi) -> np.ndarray:
+    """``h(|rho|) - <rho, q>`` at the directions rho of (theta, phi); outside the
+    octant, no smaller than the margin of the reflected direction, as q >= 0."""
+    rho = _directions(theta, phi)
+    h = hL_support(np.abs(rho).reshape(-1, 3)).reshape(rho.shape[:-1])
+    return h - (rho * q).sum(axis=-1)
+
+
+def _polish(q, theta, phi, step: float) -> np.ndarray:
+    """Smallest margin a compass search finds from each start (theta, phi).
+
+    ``q`` (n, 3) holds the point of each start; theta and phi (n,) move in
+    place.  Each start tries its eight neighbours at its own step, moves to
+    the best one if that lowers its margin and halves its step if not,
+    until the step is below ``_POLISH_STOP``; it ends where it would alone.
+    """
+    best = _margin(q, theta, phi)
+    step = np.full(best.shape, step)
+    while (live := np.flatnonzero(step >= _POLISH_STOP)).size:
+        t = theta[live, None] + step[live, None] * _MOVES[0]
+        p = phi[live, None] + step[live, None] * _MOVES[1]
+        trial = _margin(q[live, None], t, p)
+        pick = trial.argmin(axis=1)[:, None]
+        trial = np.take_along_axis(trial, pick, axis=1)[:, 0]
+        better = trial < best[live]
+        moved = live[better]
+        theta[moved] = np.take_along_axis(t, pick, axis=1)[better, 0]
+        phi[moved] = np.take_along_axis(p, pick, axis=1)[better, 0]
+        best[moved] = trial[better]
+        step[live[~better]] *= 0.5
     return best
 
 
-def _octant_directions(grid: int) -> np.ndarray:
-    """Roughly geodesic grid of unit directions in the closed octant."""
-    theta = np.linspace(0.0, 0.5 * math.pi, grid)
-    phi = np.linspace(0.0, 0.5 * math.pi, grid)
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    return np.stack([
-        np.sin(tt) * np.cos(pp),
-        np.sin(tt) * np.sin(pp),
-        np.cos(tt),
-    ], axis=-1).reshape(-1, 3)
-
-
-def membership_check(q, grid: int = 128, refine_iters: int = 12):
+def membership_check(q, grid: int = 128):
     """Certify ``<q, rho> <= h(rho) + 1e-9`` over unit octant directions.
 
-    Scans a grid of ``grid**2`` directions (``grid >= 2``), then polishes the
-    worst cells by local minimization of the margin.  Returns
-    ``(certified, worst_margin)``; a negative margin beyond the tolerance
-    means the point lies outside the body.
+    ``q`` is one point (3,) or a stack (k, 3).  One scan evaluates ``h`` on
+    a grid of ``grid**2`` directions (``grid >= 2`` points per angle) and
+    the margins ``h(rho) - <q, rho>`` of every point there; then a stacked
+    compass search (:func:`_polish`) polishes the 12 worst cells of every
+    point together, starting at the grid spacing.  This is a search, not
+    a proof.  Returns ``(certified, worst_margin)``, a bool and a float for
+    one point and arrays for a stack; a negative margin beyond the
+    tolerance means the point lies outside the body.
     """
-    q = np.asarray(q, dtype=float).reshape(3)
-    if np.any(q < 0.0):
+    q = np.asarray(q, dtype=float)
+    points = q.reshape(-1, 3)
+    if np.any(points < 0.0):
         raise ValueError("membership points live in the nonnegative octant")
     if grid < 2:
         raise ValueError("grid needs at least 2 points per angle")
-    dirs = _octant_directions(grid)
-    margins = hL_support(dirs) - dirs @ q
-
-    q0, q1, q2 = q
-
-    def margin_of(angles):
-        t, p = angles
-        st, ct = math.sin(t), math.cos(t)
-        cp, sp = math.cos(p), math.sin(p)
-        r1, r2, r3 = st * cp, st * sp, ct
-        return _hl_scalar(abs(r1), abs(r2), abs(r3)) - (r1 * q0 + r2 * q1 + r3 * q2)
-
-    # reflections of the angles evaluate the reflected octant direction, so
-    # unconstrained local minimization still probes octant margins
-    worst = float(margins.min())
-    order = np.argsort(margins)[:max(refine_iters, 1)]
-    for flat_index in order:
-        rho = dirs[flat_index]
-        t0 = math.acos(np.clip(rho[2], -1.0, 1.0))
-        p0 = math.atan2(rho[1], rho[0]) if (rho[0] or rho[1]) else 0.0
-        res = minimize(margin_of, x0=[t0, p0], method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 250})
-        worst = min(worst, float(res.fun))
-    return worst >= -MEMBERSHIP_TOL, worst
+    angles = np.linspace(0.0, 0.5 * math.pi, grid)
+    theta, phi = (a.ravel() for a in np.meshgrid(angles, angles, indexing="ij"))
+    dirs = _directions(theta, phi)
+    margins = hL_support(dirs) - (dirs * points[:, None]).sum(axis=-1)
+    cells = np.argsort(margins, axis=1)[:, :_POLISH_CELLS]
+    polished = _polish(np.repeat(points, cells.shape[1], axis=0), theta[cells].ravel(),
+                       phi[cells].ravel(), angles[1])
+    worst = np.minimum(margins.min(axis=1), polished.reshape(cells.shape).min(axis=1))
+    certified = worst >= -MEMBERSHIP_TOL
+    if q.ndim == 1:
+        return bool(certified[0]), float(worst[0])
+    return certified, worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,13 +327,11 @@ def zonoid_lower_bound(grid: int = 128, lambdas=LAMBDAS) -> ZonoidBoundReport:
     bound uses the symmetrized integral; membership failures are flagged
     in the report.
     """
-    memberships = []
-    ok = True
-    for name, point in membership_points(lambdas):
-        certified, margin = membership_check(point, grid=grid)
-        ok = ok and certified
-        memberships.append({"name": name, "point": point, "certified": certified,
-                            "margin": margin})
+    names, points = zip(*membership_points(lambdas))
+    certified, margins = membership_check(np.array(points), grid=grid)
+    memberships = [{"name": name, "point": point, "certified": bool(ok), "margin": float(margin)}
+                   for name, point, ok, margin in zip(names, points, certified, margins)]
+    ok = bool(certified.all())
 
     integral_literal = integrate_rho1rho2(build_polytope_P(lambdas, symmetrized=False))
     integral_symmetrized = integrate_rho1rho2(build_polytope_P(lambdas, symmetrized=True))

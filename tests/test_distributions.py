@@ -204,7 +204,18 @@ class TestZVector:
         expected = np.stack([v[..., 0] * u[..., 2], v[..., 0] * u[..., 1],
                              u[..., 0] * v[..., 2], u[..., 0] * v[..., 1],
                              u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]], axis=-1)
-        assert np.max(np.abs(dist.quadric_z(p) - expected)) <= 1e-12
+        z = dist.quadric_z_in_place(np.moveaxis(p.copy(), -1, 0))
+        assert np.max(np.abs(np.moveaxis(z, 0, -1) - expected)) <= 1e-12
+
+    def test_in_place_map_in_slices(self, monkeypatch):
+        # a strided view mapped 7 entries at a time, against the products written out
+        monkeypatch.setattr(dist, "_Z_SLICE", 7)
+        p = dist.quadric_draw(dist.rng_for(13, 2), (10, 5))
+        a, b, r, s, theta = np.moveaxis(p, -1, 0)
+        sin, cos = np.sin(theta), np.cos(theta)
+        expected = np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=-1)
+        dist.quadric_z_in_place(np.moveaxis(p, -1, 0))
+        assert np.array_equal(p, expected)
 
 
 class TestEssentialUniform:

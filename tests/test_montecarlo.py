@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,12 +19,18 @@ values_strategy = st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=
 class TestMeanStderr:
     @given(values_strategy, values_strategy)
     @example([1e6, 1e6 - 0.1], [1e6 + 0.1])     # plain sums of x and x^2 lose this spread
+    # ill-conditioned sums: the shifted sum missed the first two (hypothesis
+    # seeds 172 and 195), a sum of rounded chunk sums misses the third
+    @example([995591.0], [-995700.9999999999])
+    @example([999598.0, 999598.0, -999652.0], [-999652.0])
+    @example([1e6, 0.1], [-1e6])
     @settings(max_examples=100, deadline=None)
     def test_split_chunks_match_concatenation(self, a, b):
         mean, se = mc.mean_stderr([np.array(a), np.array(b)])
         values = np.array(a + b)
+        exact = float(sum(map(Fraction, a + b)) / values.size)
         expected_se = np.std(values, ddof=1) / math.sqrt(values.size)
-        assert abs(mean - np.mean(values)) <= 1e-12 * max(abs(np.mean(values)), 1.0)
+        assert abs(mean - exact) <= 1e-12 * max(abs(exact), 1.0)
         assert abs(se - expected_se) <= 1e-9 * max(expected_se, 1.0)
 
     @given(values_strategy, values_strategy, values_strategy)
@@ -44,6 +51,18 @@ class TestMeanStderr:
 
     def test_one_value_has_no_spread(self):
         assert mc.mean_stderr([np.array([2.5])]) == (2.5, 0.0)
+
+    def test_long_columns_are_summed_in_exact_slices(self, monkeypatch):
+        x = np.random.default_rng(1).standard_normal(1000) * np.logspace(-100, 100, 1000)
+        whole = mc.mean_stderr([x])
+        monkeypatch.setattr(mc, "_EXACT_SLICE", 7)
+        assert mc.mean_stderr([x]) == whole
+        assert whole[0] == float(sum(map(Fraction, x.tolist())) / x.size)
+
+    def test_values_that_are_not_finite_raise(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                mc.mean_stderr([np.array([1.0, 2.0]), np.array([bad])])
 
 
 class TestChebyshevBound:

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +52,19 @@ class TestEllipticE:
     def test_vectorized(self):
         arr = zn.elliptic_E(np.array([0.0, 0.25, 1.0]))
         assert arr.shape == (3,)
+
+    def test_against_mpmath(self):
+        ms = np.concatenate([[0.0, 0.5, 1.0 - 1e-16], np.linspace(0.0, 1.0, 1001)[:-1],
+                             np.random.default_rng(3).uniform(0.0, 1.0, 1000)])
+        values = zn.elliptic_E(ms)
+        with mpmath.workdps(40):
+            for m, value in zip(ms, values):
+                assert abs(value - float(mpmath.ellipe(mpmath.mpf(float(m))))) <= 1e-13
+
+    def test_each_value_stops_on_its_own(self):
+        # 0.94211311 settles a and b one ulp apart, where a test at 1e-16 a never passes
+        ms = np.array([0.3, 0.5, 0.9, 0.94211311, 1.0 - 1e-16])
+        assert zn.elliptic_E(ms).tolist() == [zn.elliptic_E(m) for m in ms]
 
 
 class TestFBound:
@@ -105,26 +123,41 @@ class TestMembership:
                 zn.membership_check(np.array([0.0, 0.0, ONE_OVER_PI]), grid=grid)
 
 
-class TestScalarPolishPath:
-    """The scalar forms that the Nelder-Mead polish calls agree with the array forms."""
+#: Worst margins of the thirteen membership points in the order of
+#: ``membership_points()``, frozen from the 12 Nelder-Mead polishes that
+#: the compass search replaced (grid 128).
+NELDER_MEAD_MARGINS = [0.0, 0.0, 0.0] + 2 * [
+    0.00043113660211244187, 0.00022098881805174275, 0.0008437368595966832,
+    8.015148006898509e-05, 0.00011041046239412822]
 
-    def test_elliptic_e_scalar(self):
-        ms = np.concatenate([[0.0, 0.5, 1.0, 1e-300, 1.0 - 1e-16],
-                             np.linspace(0.0, 1.0, 1001),
-                             np.random.default_rng(3).uniform(0.0, 1.0, 1000)])
-        for m in ms:
-            assert abs(zn._elliptic_e_scalar(float(m)) - zn.elliptic_E(m)) <= 1e-13
 
-    def test_hl_scalar(self):
-        rng = np.random.default_rng(4)
-        rho = np.abs(rng.standard_normal((2000, 3)))
-        rho[rng.uniform(size=rho.shape) < 0.3] = 0.0
-        rho = np.concatenate([rho, np.eye(3), [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]])
-        norms = np.linalg.norm(rho, axis=1, keepdims=True)
-        rho = rho / np.where(norms > 0.0, norms, 1.0)
-        expected = zn.hL_support(rho)
-        for direction, value in zip(rho, expected):
-            assert abs(zn._hl_scalar(*direction) - value) <= 1e-13
+class TestStackedSearch:
+    @pytest.fixture(scope="class")
+    def points(self):
+        return np.array([point for _, point in zn.membership_points()])
+
+    def test_margins_match_the_nelder_mead_polish(self, points):
+        certified, margins = zn.membership_check(points)
+        assert certified.all()
+        frozen = np.array(NELDER_MEAD_MARGINS)
+        assert np.all(margins <= frozen + 1e-15)
+        assert np.all(margins >= frozen - 1e-12)
+
+    def test_stack_matches_one_point_at_a_time(self, points):
+        points = np.concatenate([points, [[0.0, 0.0, 2.0], [0.3, 0.1, 0.2]]])
+        certified, margins = zn.membership_check(points, grid=40)
+        for point, ok, margin in zip(points, certified, margins):
+            assert zn.membership_check(point, grid=40) == (ok, margin)
+
+
+def test_importing_the_cli_leaves_scipy_optimize_out():
+    # scipy.optimize takes ~0.2 s to import, which every command paid at start-up
+    code = "import sys, essential_lab.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(zn.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPolytope:
