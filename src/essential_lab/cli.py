@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import secrets
 import sys
 
 import numpy as np
@@ -171,8 +170,17 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _seed(args) -> int:
+    """The run's seed: ``--seed``, or 31 fresh random bits under ``--entropy``."""
+    if not args.entropy:
+        return args.seed
+    import secrets      # imported here: only --entropy needs it
+
+    return secrets.randbits(31)
+
+
 def _cmd_experiment(args) -> int:
-    seed = secrets.randbits(31) if args.entropy else args.seed
+    seed = _seed(args)
     boxes = load_boxes(args.boxes) if args.boxes is not None else None
     report = mc.run_experiment(args.dist, args.n, seed, workers=args.workers,
                                boxes=boxes)
@@ -184,7 +192,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_det(args) -> int:
-    seed = secrets.randbits(31) if args.entropy else args.seed
+    seed = _seed(args)
     est = mc.estimate_abs_det(args.n, seed)
     write_report(_with_envelope(est.to_dict(), {"n": args.n, "seed": seed}), args.out)
     return EXIT_OK

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import DomainError
 
@@ -194,6 +193,9 @@ class Polytope3:
 
     @classmethod
     def from_points(cls, points, apex=None) -> "Polytope3":
+        # scipy takes ~0.4 s to import and nothing else uses it, so only this route loads it
+        from scipy.spatial import ConvexHull
+
         points = np.asarray(points, dtype=float)
         hull = ConvexHull(points)
         if apex is None:

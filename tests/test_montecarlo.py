@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from essential_lab import distributions as dists
 from essential_lab import montecarlo as mc
 from essential_lab.errors import CrossCheckFailed
 
@@ -63,6 +65,57 @@ class TestMeanStderr:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 mc.mean_stderr([np.array([1.0, 2.0]), np.array([bad])])
+
+
+PERMUTATIONS = [(perm, (-1) ** sum(perm[i] > perm[k] for i in range(5) for k in range(i + 1, 5)))
+                for perm in itertools.permutations(range(5))]
+
+
+def exact_det(a) -> Fraction:
+    """The determinant of one 5x5 float matrix, exactly (Leibniz over integers).
+
+    Every entry is an integer over a power of two, so the matrix times the
+    largest denominator d is an integer matrix; its determinant over d^5.
+    """
+    ratios = [x.as_integer_ratio() for x in np.ravel(a).tolist()]
+    d = max(den for _, den in ratios)
+    n = [num * (d // den) for num, den in ratios]
+    total = sum(sign * math.prod(n[5 * i + perm[i]] for i in range(5))
+                for perm, sign in PERMUTATIONS)
+    return Fraction(total, d ** 5)
+
+
+class TestAbsDet5:
+    @pytest.mark.parametrize("kind", ["z", "gauss", "rank4"])
+    def test_error_within_eight_ulps_of_the_permanent(self, kind):
+        rng = np.random.default_rng(5)
+        if kind == "z":
+            a = dists.sample_z_matrices(dists.rng_for(5, 0), 1000)
+        elif kind == "gauss":
+            a = rng.standard_normal((1000, 5, 5))
+        else:       # rank 4 plus noise: |det| ~ 1e-9 with terms of order one
+            a = (rng.standard_normal((1000, 5, 4)) @ rng.standard_normal((1000, 4, 5))
+                 + 1e-9 * rng.standard_normal((1000, 5, 5)))
+        dets = mc.abs_det5(a)
+        # perm(|A|) bounds the sum of the |terms| of the Leibniz expansion
+        permanent = sum(np.prod(np.abs(a[:, range(5), perm]), axis=1) for perm, _ in PERMUTATIONS)
+        errors = [abs(Fraction(d) - abs(exact_det(m))) for d, m in zip(dets.tolist(), a)]
+        assert np.all(np.array(errors, dtype=float) <= 8.0 * np.finfo(float).eps * permanent)
+
+    def test_a_matrix_gives_the_same_bits_in_any_stack(self):
+        # the stack spans two full blocks and three matrices of a third
+        a = np.random.default_rng(6).standard_normal((2 * mc.DET_BLOCK + 3, 5, 5))
+        dets = mc.abs_det5(a)
+        alone = np.array([mc.abs_det5(m) for m in a])
+        assert np.array_equal(dets, alone)
+
+    def test_stack_shapes(self):
+        a = np.random.default_rng(7).standard_normal((2, 3, 5, 5))
+        assert mc.abs_det5(a).shape == (2, 3)
+        assert mc.abs_det5(a[0, 0]).shape == ()
+        assert mc.abs_det5(a[:, :0]).shape == (2, 0)
+        with pytest.raises(ValueError):
+            mc.abs_det5(a[..., :4])
 
 
 class TestChebyshevBound:
