@@ -9,7 +9,6 @@ differential-geometric constants, and the convex-body lower bound.
 __version__ = "0.1.0"
 
 from .errors import (
-    AssertionFailure,
     CrossCheckFailed,
     DegenerateInput,
     DegeneratePencil,
@@ -20,15 +19,10 @@ from .errors import (
 from .geometry import (
     E0,
     EssentialMatrix,
-    Rotation,
-    UnitVec3,
     cross_matrix,
     demazure_residuals,
-    essential_from_pose,
     half_trace_inner,
-    recover_poses,
     tangent_basis_E0,
-    twisted_pair,
 )
 from .solver import (
     CountResult,
@@ -38,10 +32,9 @@ from .solver import (
 
 __all__ = [
     "__version__",
-    "AssertionFailure", "CrossCheckFailed", "DegenerateInput", "DegeneratePencil",
+    "CrossCheckFailed", "DegenerateInput", "DegeneratePencil",
     "DomainError", "EssentialLabError", "RankDeficient",
-    "E0", "EssentialMatrix", "Rotation", "UnitVec3",
-    "cross_matrix", "demazure_residuals", "essential_from_pose",
-    "half_trace_inner", "recover_poses", "tangent_basis_E0", "twisted_pair",
+    "E0", "EssentialMatrix",
+    "cross_matrix", "demazure_residuals", "half_trace_inner", "tangent_basis_E0",
     "CountResult", "LinearSpace", "solve_five_point",
 ]

@@ -70,7 +70,6 @@ def _build_parser() -> _Parser:
     zon = sub.add_parser("zonoid", help="support-body lower-bound pipeline")
     zon.add_argument("--grid", type=int, default=128)
     zon.add_argument("--out", default=None)
-    zon.add_argument("--format", choices=["json", "csv"], default="json")
 
     ver = sub.add_parser("verify", help="numerical verification suite")
     ver.add_argument("--suite", choices=["all", "nj", "volumes", "identities"],
@@ -199,8 +198,6 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_zonoid(args) -> int:
-    if args.format != "json":
-        raise _UsageError("the zonoid report is JSON-only")
     report = zn.zonoid_lower_bound(grid=args.grid)
     write_report(_with_envelope(report.to_dict(), {"grid": args.grid}), args.out)
     ok = report.membership_ok and report.bound >= 0.93
@@ -231,9 +228,6 @@ def dispatch(argv) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError, KeyError, json.JSONDecodeError, EssentialLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -29,6 +29,7 @@ for the whole stack.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -124,6 +125,11 @@ class BoxSpec:
     def __post_init__(self):
         if not (self.a < self.b and self.c < self.d):
             raise ValueError("box needs a < b and c < d")
+        # compared before any arithmetic: a JSON integer beyond the float range stays an int
+        big = sys.float_info.max
+        if not (all(abs(x) <= big for x in (self.a, self.b, self.c, self.d))
+                and self.b - self.a <= big and self.d - self.c <= big):
+            raise ValueError("box needs finite bounds and finite widths")
 
     @property
     def area(self) -> float:
@@ -197,7 +203,7 @@ def _stack(rngs, draw, shape, rows_of, redraw):
 
 
 def sample_unifG(rngs):
-    """Rotation-invariant random linear spaces: i.i.d. Gaussian rows.
+    """Random linear spaces invariant under rotations: i.i.d. Gaussian rows.
 
     Draws one space from each generator of ``rngs`` (a list, or a
     :class:`Streams`) and returns their rows (N, 5, 9) with kernel bases

@@ -26,7 +26,3 @@ class CrossCheckFailed(EssentialLabError):
 
     Carries both estimates and their confidence data in ``args[1]``.
     """
-
-
-class AssertionFailure(EssentialLabError):
-    """A numerical verification check exceeded its tolerance."""

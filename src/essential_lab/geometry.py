@@ -17,10 +17,8 @@ import numpy as np
 
 from .errors import DegenerateInput
 
-# Tolerance ladder: construction identities / type invariants / classification.
-TOL_CONSTRUCTION = 1e-12
+#: Tolerance of the essential-matrix invariants: unit norm and cubic residuals.
 TOL_INVARIANT = 1e-9
-TOL_CLASSIFY = 1e-6
 
 E0 = np.array([
     [0.0, 0.0, 0.0],
@@ -70,38 +68,6 @@ def demazure_residuals(e: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Rotation:
-    """Element of SO(3); validated on construction."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-            raise DegenerateInput("rotation must be a finite 3x3 matrix")
-        if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-12:
-            raise DegenerateInput("matrix is not orthogonal to 1e-12")
-        if abs(np.linalg.det(m) - 1.0) > 1e-12:
-            raise DegenerateInput("determinant is not +1 to 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-
-
-@dataclass(frozen=True, eq=False)
-class UnitVec3:
-    """Unit vector in R^3; validated on construction."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float).reshape(3)
-        if not np.all(np.isfinite(v)) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise DegenerateInput("vector is not unit length to 1e-12")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-
-
-@dataclass(frozen=True, eq=False)
 class EssentialMatrix:
     """Unit-norm essential matrix; checks norm and cubic residuals."""
 
@@ -134,72 +100,6 @@ class EssentialMatrix:
         object.__setattr__(obj, "m", m)
         object.__setattr__(obj, "residual", float(residual))
         return obj
-
-
-def _pose_arrays(r, t):
-    rm = r.m if isinstance(r, Rotation) else Rotation(np.asarray(r)).m
-    tv = t.v if isinstance(t, UnitVec3) else UnitVec3(np.asarray(t)).v
-    return rm, tv
-
-
-def essential_from_pose(r, t) -> EssentialMatrix:
-    """Essential matrix ``[t]_x @ R`` of a pose; has half-trace norm 1."""
-    rm, tv = _pose_arrays(r, t)
-    return EssentialMatrix(cross_matrix(tv) @ rm)
-
-
-def twisted_pair(r, t) -> tuple[Rotation, UnitVec3]:
-    """The second pose mapping to the same essential matrix.
-
-    Returns ``(M @ R, -t)`` with ``M = 2 t t^T - 1`` (a half-turn about t).
-    Applying it twice gives the original pose back.
-    """
-    rm, tv = _pose_arrays(r, t)
-    m = 2.0 * np.outer(tv, tv) - np.eye(3)
-    return Rotation(m @ rm), UnitVec3(-tv)
-
-
-def _procrustes_rotation(k: np.ndarray) -> np.ndarray:
-    """Rotation maximizing ``tr(R^T K)`` (special orthogonal Procrustes)."""
-    u, _, vt = np.linalg.svd(k)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
-
-
-def recover_poses(e) -> list[tuple[Rotation, UnitVec3]]:
-    """The two poses ``(R, t)`` with ``[t]_x @ R`` equal to the input.
-
-    The translation is the unit kernel vector of ``E^T`` with its first
-    nonzero component made positive; the rotation comes from a Procrustes
-    alignment.  Raises :class:`DegenerateInput` when the cubic residuals
-    exceed 1e-6 (the input is not an essential matrix).
-    """
-    em = e.m if isinstance(e, EssentialMatrix) else np.asarray(e, dtype=float)
-    if np.max(np.abs(demazure_residuals(em))) > TOL_CLASSIFY:
-        raise DegenerateInput("matrix does not satisfy the cubic equations")
-    nrm = half_trace_norm(em)
-    if nrm < TOL_CLASSIFY:
-        raise DegenerateInput("matrix is numerically zero")
-    em = em / nrm
-
-    u, _, _ = np.linalg.svd(em)
-    t = u[:, 2]
-    lead = np.flatnonzero(np.abs(t) > TOL_INVARIANT)
-    if lead.size and t[lead[0]] < 0:
-        t = -t
-    t = t / np.linalg.norm(t)
-
-    best = None
-    for tv in (t, -t):
-        r = _procrustes_rotation(cross_matrix(tv).T @ em)
-        res = np.max(np.abs(cross_matrix(tv) @ r - em))
-        if best is None or res < best[0]:
-            best = (res, r, tv)
-    res, r, tv = best
-    if res > 1e-8:
-        raise DegenerateInput(f"pose reconstruction residual {res:.3e}")
-    first = (Rotation(r), UnitVec3(tv))
-    return [first, twisted_pair(*first)]
 
 
 def tangent_basis_E0() -> np.ndarray:

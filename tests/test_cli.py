@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +124,9 @@ class TestExperimentCommand:
         {"boxes": [[1, 2, 3]]},
         {"boxes": [[-5, 5, -5, 5]] * 9 + [[-5, 5, -5]]},
         {"boxes": 5},
+        {"boxes": [[-5, 5, -5, 5]] * 9 + [[-5, math.inf, -5, 5]]},
+        {"boxes": [[-5, 5, -5, 5]] * 9 + [[-1e308, 1e308, -5, 5]]},
+        {"boxes": [[-5, 5, -5, 5]] * 9 + [[-5, 10 ** 400, -5, 5]]},
     ])
     def test_malformed_box_config_is_validation_error(self, tmp_path, payload):
         boxes = tmp_path / "boxes.json"

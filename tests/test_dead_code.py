@@ -30,12 +30,7 @@ TESTED_ONLY = {
     "montecarlo.cross_check_determinant_mean": "acceptance criterion 04 ties the solver mean "
                                                "to the determinant mean",
     "montecarlo.chebyshev_bound": "the paper's variance bound for the determinant ensemble",
-    "geometry.essential_from_pose": "the pose map (R, t) -> [t]_x R that defines the "
-                                    "essential variety",
-    "geometry.recover_poses": "the inverse of the pose map: the two poses of an essential "
-                              "matrix",
     "solver.pencil_real_root_counts": "acceptance criterion 05's rank-two pencil average 2",
-    "verify.nj_pose_map_at": "the one-pose form of nj_pose_map for tests and callers",
 }
 
 
@@ -114,6 +109,11 @@ def test_only_listed_public_definitions_are_for_tests_alone():
     public = [name for name in unused_definitions(folders=("src", "perfbench"))
               if not any(part.startswith("_") for part in name.split("."))]
     assert sorted(public) == sorted(TESTED_ONLY)
+
+
+def test_every_export_resolves():
+    """Every name in ``essential_lab.__all__`` is an attribute of the package."""
+    assert [name for name in essential_lab.__all__ if not hasattr(essential_lab, name)] == []
 
 
 def test_an_unused_definition_is_found(tmp_path):

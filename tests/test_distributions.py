@@ -147,6 +147,10 @@ class TestBoxSampler:
     def test_box_spec_validation(self):
         with pytest.raises(ValueError):
             dist.BoxSpec(1.0, 1.0, 0.0, 1.0)
+        for bounds in ((0.0, np.inf, 0.0, 1.0), (-np.inf, 0.0, 0.0, 1.0),
+                       (-1e308, 1e308, 0.0, 1.0), (0.0, 1.0, 0.0, 10 ** 400)):
+            with pytest.raises(ValueError):
+                dist.BoxSpec(*bounds)
 
 
 class TestDensityG:
