@@ -63,6 +63,14 @@ class TestHalfTrace:
 class TestEssentialFromPose:
     """Essential matrices of poses, built as ``cross_matrix(t) @ R``."""
 
+    def test_unit_norm_random(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            r, t = haar_pose(rng)
+            e = geo.cross_matrix(t) @ r
+            assert abs(geo.half_trace_norm(e) - 1.0) <= 1e-12
+            assert np.max(np.abs(geo.demazure_residuals(e))) <= 1e-12
+
     def test_twisted_pair_same_matrix(self):
         # the half-turn M = 2 t t^T - I about t sends (R, t) to (M R, -t), the
         # other pose of the same matrix: the pose map is 2:1
@@ -89,7 +97,6 @@ class TestDemazureResiduals:
         for _ in range(50):
             r, t = haar_pose(rng)
             e = geo.cross_matrix(t) @ r
-            assert abs(geo.half_trace_norm(e) - 1.0) <= 1e-12
             assert np.max(np.abs(geo.demazure_residuals(e))) <= 1e-12
 
 
