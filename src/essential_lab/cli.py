@@ -80,9 +80,13 @@ def _build_parser() -> _Parser:
 
 
 def _numbers(value, depth: int) -> bool:
-    """Whether a JSON value is a list nested ``depth`` deep around numbers."""
+    """Whether a JSON value is a list nested ``depth`` deep around finite numbers.
+
+    A number beyond the float range fails: an integer too large for a
+    float, NaN and the infinities.
+    """
     if depth == 0:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, list) and all(_numbers(item, depth - 1) for item in value)
 
 
@@ -94,15 +98,15 @@ def load_instance(path: str) -> LinearSpace:
         raise ValueError("instance file needs a JSON object")
     if "rows" in data:
         if not _numbers(data["rows"], 2):
-            raise ValueError("'rows' must be a list of lists of numbers")
+            raise ValueError("'rows' must be a list of lists of finite numbers")
         return LinearSpace(np.asarray(data["rows"], dtype=float))
     if "correspondences" in data:
         entries = data["correspondences"]
         if not (isinstance(entries, list) and len(entries) == 5 and all(
                 isinstance(c, dict) and _numbers(c.get(k), 1) and len(c[k]) == 3
                 for c in entries for k in ("u", "v"))):
-            raise ValueError("'correspondences' must be five {'u': [3 numbers], "
-                             "'v': [3 numbers]}")
+            raise ValueError("'correspondences' must be five {'u': [3 finite numbers], "
+                             "'v': [3 finite numbers]}")
         points = np.array([c[k] for c in entries for k in ("u", "v")], dtype=float)
         if not np.all(np.any(points != 0.0, axis=1)):
             raise ValueError("a correspondence point is the zero vector")
@@ -117,7 +121,7 @@ def load_boxes(path: str):
     entries = data.get("boxes") if isinstance(data, dict) else None
     if not (_numbers(entries, 2) and len(entries) == 10
             and all(len(entry) == 4 for entry in entries)):
-        raise ValueError("box config needs 'boxes': ten [a, b, c, d] lists of numbers")
+        raise ValueError("box config needs 'boxes': ten [a, b, c, d] lists of finite numbers")
     return [dists.BoxSpec(*entry) for entry in entries]
 
 

@@ -11,8 +11,9 @@ Three distributions of codimension-5 linear spaces are provided:
 
 The base quadric u^T E0 v = 0 lives here too: ``quadric_draw``,
 ``quadric_param`` and ``quadric_z_in_place`` give its parameters,
-correspondences and z-vectors, whose determinant ensemble reproduces the correspondence
-average; the box Metropolis-Hastings chain proposes from it.
+correspondences and z-vectors.  The z-vectors make the determinant
+ensemble, whose average reproduces the correspondence average; the verify
+suite checks the quadric's identities with all three.
 
 Every sampler draws from explicit ``numpy.random.Generator`` objects.  For
 scheduling-independent parallel runs, derive one generator per sample
@@ -37,9 +38,6 @@ import numpy as np
 
 from .errors import RankDeficient
 from .solver import nullspace_basis
-
-VOL_RP2 = 2.0 * np.pi   # Riemannian area of the projective plane
-
 
 _MASK = (1 << 64) - 1
 
@@ -130,15 +128,6 @@ class BoxSpec:
         if not (all(abs(x) <= big for x in (self.a, self.b, self.c, self.d))
                 and self.b - self.a <= big and self.d - self.c <= big):
             raise ValueError("box needs finite bounds and finite widths")
-
-    @property
-    def area(self) -> float:
-        return (self.b - self.a) * (self.d - self.c)
-
-
-def _rotations(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Stack of n Haar rotations drawn from ``rng``."""
-    return haar_rotations(rng.standard_normal((n, 3, 3)))
 
 
 def haar_rotations(gauss: np.ndarray) -> np.ndarray:
@@ -318,87 +307,3 @@ def quadric_param(a5: np.ndarray) -> np.ndarray:
     u = np.stack([a, r * cos, r * sin], axis=-1)
     v = np.stack([b, s * cos, s * sin], axis=-1)
     return np.stack([u, v], axis=-2)
-
-
-def rotated_quadric_draw(rng: np.random.Generator, m: int):
-    """m uniform essential matrices, each with five correspondences on it.
-
-    Draws m Haar rotations U, then m rotations V, then the quadric
-    parameters (m, 5, 5) by :func:`quadric_draw`.  Returns the parameters
-    and the points (m, 5, 2, 3) of :func:`quadric_param` rotated as
-    u -> U u, v -> V v, which lie on u^T (U E0 V^T) v = 0.
-    """
-    us = _rotations(rng, m)
-    vs = _rotations(rng, m)
-    p = quadric_draw(rng, (m, 5))
-    pts = quadric_param(p)
-    return p, np.stack([pts[:, :, 0] @ np.swapaxes(us, 1, 2),
-                        pts[:, :, 1] @ np.swapaxes(vs, 1, 2)], axis=2)
-
-
-def box_weights(points: np.ndarray, boxes) -> np.ndarray:
-    """Density of stacked correspondence tuples under the box law, per uniform law.
-
-    ``points`` has shape (n, 5, 2, 3).  Each weight is the product over
-    all ten image points of ``vol(RP^2) * g(point) / area(box)`` when
-    every point lies in its box chart region, else 0.  Densities are
-    taken with respect to the uniform probability measure, which is what
-    the integral-formula estimators expect.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 10, 3)
-    boxes = [b if isinstance(b, BoxSpec) else BoxSpec(*b) for b in boxes]
-    lo1 = np.array([b.a for b in boxes])
-    hi1 = np.array([b.b for b in boxes])
-    lo2 = np.array([b.c for b in boxes])
-    hi2 = np.array([b.d for b in boxes])
-    areas = np.array([b.area for b in boxes])
-
-    norms = np.linalg.norm(pts, axis=2)
-    w3 = pts[:, :, 2]
-    safe = np.abs(w3) > 1e-12 * norms
-    w3s = np.where(safe, w3, 1.0)
-    y1 = pts[:, :, 0] / w3s
-    y2 = pts[:, :, 1] / w3s
-    inside = safe & (y1 >= lo1) & (y1 <= hi1) & (y2 >= lo2) & (y2 <= hi2)
-    g = (norms ** 2 / w3s ** 2) * (norms / np.abs(w3s))
-    factors = np.where(inside, VOL_RP2 * g / areas, 0.0)
-    return np.prod(factors, axis=1)
-
-
-def mh_box_chain(rng: np.random.Generator, n: int, boxes, psi=None):
-    """Independence-proposal Metropolis-Hastings chain for a box target.
-
-    Proposals are pairs of a uniform essential matrix (through its Haar
-    witnesses U, V) and a fresh base draw of (a, b, r, s, theta) per
-    correspondence; the target density over the proposal measure is
-    ``psi`` evaluated on the rotated correspondences (default: the box
-    density).  ``psi`` takes a stack (m, 5, 2, 3) and returns m densities.
-    Since proposals are independent, only the density values enter the
-    accept/reject scan, which visits the proposals of positive density in
-    order.  Returns the accepted states (with their first chain position
-    and density) and the acceptance count.
-    """
-    if psi is None:
-        def psi(points):
-            return box_weights(points, boxes)
-
-    batch = 4096
-    states = []          # (chain_index, points, density) of accepted proposals
-    current_density = 0.0
-    produced = 0
-    while produced < n:
-        m = min(batch, n - produced)
-        _, pts = rotated_quadric_draw(rng, m)
-        densities = np.asarray(psi(pts), dtype=float)
-        if densities.shape != (m,):
-            raise ValueError(f"psi must return {m} densities, got shape {densities.shape}")
-        for i in np.flatnonzero(densities > 0.0):
-            density = float(densities[i])
-            if current_density > 0.0:
-                ratio = density / current_density
-                if not (ratio >= 1.0 or rng.uniform() < ratio):
-                    continue
-            states.append((produced + int(i), pts[i].copy(), density))
-            current_density = density
-        produced += m
-    return states, len(states)

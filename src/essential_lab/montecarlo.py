@@ -34,10 +34,6 @@ DET_CHUNK = 250_000    # determinant draws per chunk
 #: expected number of real solutions (volume of the variety over 8).
 DET_TO_COUNT = math.pi ** 3 / 4.0
 
-#: Hard-coded volume of the projective essential variety, cross-verified
-#: numerically by the geometry checks.
-VOL_ESSENTIAL = 2.0 * math.pi ** 3
-
 
 _EXACT_SLICE = 2 ** 25      # float64 sums of this many 27-bit integers are exact
 
@@ -185,8 +181,9 @@ def run_experiment(dist: str, n: int, seed: int, workers: int = 1,
     Deterministic given ``(dist, n, seed)`` for any worker count; failed
     solves are excluded from the mean and reported separately.  The mean
     and variance are computed exactly from the merged histogram, and the
-    Chebyshev column bounds ``P(|mean - E| >= eps)`` by
-    ``min(1, variance / (solved * eps^2))``.
+    Chebyshev column estimates ``P(|mean - E| >= eps)`` by
+    ``min(1, variance / (solved * eps^2))``: Chebyshev's bound with the
+    sample variance in place of the true one, so it is no bound itself.
     """
     if n < 1 or workers < 1:
         raise ValueError("need n >= 1 and workers >= 1")
@@ -278,49 +275,6 @@ def estimate_abs_det(n: int, seed: int) -> DetEstimate:
         se_second=se_second,
         wall_time=time.perf_counter() - t0,
     )
-
-
-@dataclass
-class IntegralEstimate:
-    """Plain Monte Carlo evaluation of the general integral formula."""
-
-    n: int
-    seed: int
-    estimate: float
-    se: float
-    wall_time: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def estimate_count_integral(n: int, seed: int, boxes=None) -> IntegralEstimate:
-    """Importance estimate ``vol(E)/8 * mean(density * |det Z|)``.
-
-    Each draw pairs a uniform essential matrix (through Haar witnesses
-    U, V) with a base draw of per-correspondence parameters; the density
-    weight is the box density of the rotated correspondences relative to
-    the uniform probability law (1 when ``boxes`` is None), and ``Z`` holds
-    the five z-vectors of the same base draw.  Unbiased for the expected
-    real-solution count of the weighted distribution.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    t0 = time.perf_counter()
-
-    def chunks():
-        for index, start in enumerate(range(0, n, 50_000)):
-            p, points = dists.rotated_quadric_draw(dists.rng_for(seed, index),
-                                                   min(50_000, n - start))
-            dists.quadric_z_in_place(np.moveaxis(p, -1, 0))
-            # columns of Z are the five z-vectors
-            dets = abs_det5(np.swapaxes(p, 1, 2))
-            weights = 1.0 if boxes is None else dists.box_weights(points, boxes)
-            yield (VOL_ESSENTIAL / 8.0) * weights * dets
-
-    estimate, se = mean_stderr(chunks())
-    return IntegralEstimate(n=n, seed=seed, estimate=estimate, se=se,
-                            wall_time=time.perf_counter() - t0)
 
 
 @dataclass

@@ -111,10 +111,11 @@ def sample_poses(seed: int, n: int):
     """Haar poses (R, t) for sample indices 0..n-1, one ``rng_for(seed, index)`` each.
 
     Each stream draws nine Gaussians for the rotation, then three for t,
-    as ``_rotations(rng, 1)`` followed by ``standard_normal(3)`` does; the
-    streams are drawn through one re-keyed Philox (``distributions.Streams``), and
-    one stacked QR then turns the Gaussians into rotations.  Returns r
-    (n, 3, 3) and unit t (n, 3).
+    as ``haar_rotations`` of ``standard_normal((1, 3, 3))`` followed by
+    ``standard_normal(3)`` does; the streams are drawn through one
+    re-keyed Philox (``distributions.Streams``), and one stacked QR then
+    turns the Gaussians into rotations.  Returns r (n, 3, 3) and unit t
+    (n, 3).
     """
     draws = dists.Streams(seed, 0, n).fill(dists._normals, np.empty((n, 12)))
     return dists.haar_rotations(draws[:, :9].reshape(n, 3, 3)), dists._unit(draws[:, 9:])

@@ -103,66 +103,6 @@ def _haar_rotation(gauss: np.ndarray) -> np.ndarray:
     return q
 
 
-def box_weight(points: np.ndarray, boxes) -> float:
-    """Box-law density of one correspondence tuple per uniform law, point by point.
-
-    ``points`` has shape (5, 2, 3); ``boxes`` holds ten boxes with bounds
-    ``a <= y1 <= b`` and ``c <= y2 <= d`` in the chart y = (p1/p3, p2/p3).
-    The weight is the product of ``vol(RP^2) g(p) / area`` over the ten
-    points, with g(p) = |p|^3 / |p3|^3, or 0 when a point leaves its box.
-    """
-    points = np.asarray(points, dtype=float).reshape(10, 3)
-    weight = 1.0
-    for p, box in zip(points, boxes):
-        norm = np.linalg.norm(p)
-        if abs(p[2]) <= 1e-12 * norm:
-            return 0.0
-        y1, y2 = p[0] / p[2], p[1] / p[2]
-        if not (box.a <= y1 <= box.b and box.c <= y2 <= box.d):
-            return 0.0
-        area = (box.b - box.a) * (box.d - box.c)
-        weight *= 2.0 * np.pi * (norm ** 2 / p[2] ** 2) * (norm / abs(p[2])) / area
-    return weight
-
-
-def mh_box_chain_loop(rng: np.random.Generator, n: int, density, batch: int = 4096):
-    """The box-target Metropolis-Hastings chain, one proposal per iteration.
-
-    Draws what the library chain draws, batch by batch: U and V as Gaussian
-    3x3 stacks, then the base (a, b, r, s) and theta per correspondence.
-    Each proposal is then parametrized, rotated and weighed on its own by
-    ``density`` (a callable on one (5, 2, 3) tuple), and accepted or
-    rejected before the next.  Returns (position, points, density) per
-    accepted proposal.
-    """
-    states = []
-    current = 0.0
-    for start in range(0, n, batch):
-        m = min(batch, n - start)
-        us = rng.standard_normal((m, 3, 3))
-        vs = rng.standard_normal((m, 3, 3))
-        base = rng.standard_normal((m, 5, 4))
-        thetas = rng.uniform(0.0, 2.0 * np.pi, (m, 5))
-        for i in range(m):
-            u_rot, v_rot = _haar_rotation(us[i]), _haar_rotation(vs[i])
-            pts = np.empty((5, 2, 3))
-            for j in range(5):
-                a, b, r, s = base[i, j]
-                c, sn = np.cos(thetas[i, j]), np.sin(thetas[i, j])
-                pts[j, 0] = u_rot @ np.array([a, r * c, r * sn])
-                pts[j, 1] = v_rot @ np.array([b, s * c, s * sn])
-            weight = density(pts)
-            if weight <= 0.0:
-                continue
-            if current > 0.0:
-                ratio = weight / current
-                if not (ratio >= 1.0 or rng.uniform() < ratio):
-                    continue
-            states.append((start + i, pts, weight))
-            current = weight
-    return states
-
-
 def pose_map_volume_loop(n: int, seed: int, nj_at, rng_for) -> float:
     """Monte Carlo variety volume, one Haar pose and one Jacobian at a time.
 

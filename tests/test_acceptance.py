@@ -26,6 +26,8 @@ from oracles import (
 )
 
 BOXES55 = [(-5.0, 5.0, -5.0, 5.0)] * 10
+# the solver's box mean for BOXES55 in the README: 1e6 instances at seeds 101, 202, ..., 505
+BOX55_MEAN = 3.733
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -89,8 +91,11 @@ def test_criterion_05_rank_two_pencil_average():
 
 def test_criterion_06_box_experiment():
     rep = mc.run_experiment("box", 10_000, ACCEPT_SEED, boxes=BOXES55)
-    ok = 3.64 <= rep.mean <= 3.94 and rep.failures < 0.001 * rep.n
-    _report(6, ok, f"box mean={rep.mean:.4f} in [3.64, 3.94], failures={rep.failures}")
+    se = math.sqrt(rep.variance / (rep.n - rep.failures))
+    ok = (3.64 <= rep.mean <= 3.94 and rep.failures < 0.001 * rep.n
+          and abs(rep.mean - BOX55_MEAN) <= 4.0 * se)
+    _report(6, ok, f"box mean={rep.mean:.4f} in [3.64, 3.94] and within 4 se "
+                   f"({4.0 * se:.4f}) of the measured {BOX55_MEAN}, failures={rep.failures}")
 
 
 def test_criterion_07_normal_jacobian_constants():

@@ -77,6 +77,8 @@ class TestSolveCommand:
         {"correspondences": [PAIR] * 4 + [{"u": [1.0, 2.0], "v": [0.5, -1.0, 2.0]}]},
         {"correspondences": [PAIR] * 4 + [{"u": [0.0, 0.0, 0.0], "v": [0.5, -1.0, 2.0]}]},
         {"correspondences": [PAIR] * 5},
+        {"rows": [[10 ** 400] + [0.0] * 8] + [[1.0] * 9] * 4},
+        {"correspondences": [PAIR] * 4 + [{"u": [10 ** 400, 1.0, 1.0], "v": [0.5, -1.0, 2.0]}]},
     ])
     def test_malformed_instance_is_validation_error(self, tmp_path, payload):
         bad = tmp_path / "bad.json"

@@ -23,10 +23,6 @@ DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Public src definitions that only tests use, each with the reason it stays.
 TESTED_ONLY = {
-    "distributions.mh_box_chain": "the paper's box-target sampler; its chain is checked "
-                                  "against a per-proposal loop",
-    "montecarlo.estimate_count_integral": "the integral formula with a density; its box "
-                                          "estimate has no CLI command yet",
     "montecarlo.cross_check_determinant_mean": "acceptance criterion 04 ties the solver mean "
                                                "to the determinant mean",
     "montecarlo.chebyshev_bound": "the paper's variance bound for the determinant ensemble",

@@ -7,9 +7,9 @@ from scipy.stats import chi2_contingency, ks_2samp
 from essential_lab import distributions as dist
 from essential_lab import solver as sv
 from essential_lab.errors import RankDeficient
-from essential_lab.geometry import E0, EssentialMatrix, half_trace_norm
+from essential_lab.geometry import E0
 
-from oracles import box_weight, mh_box_chain_loop, quaternion_rotation_sample
+from oracles import quaternion_rotation_sample
 
 BOXES55 = [dist.BoxSpec(-5.0, 5.0, -5.0, 5.0)] * 10
 LOW = np.array([-1.0, 0.0, 2.0])
@@ -61,13 +61,13 @@ class TestRngFor:
 
 class TestRotationSampler:
     def test_invariants(self):
-        r = dist._rotations(dist.rng_for(0, 0), 50)
+        r = dist.haar_rotations(dist.rng_for(0, 0).standard_normal((50, 3, 3)))
         assert np.max(np.abs(r @ np.swapaxes(r, 1, 2) - np.eye(3))) <= 1e-12
         assert np.max(np.abs(np.linalg.det(r) - 1.0)) <= 1e-12
 
     def test_moments_against_quaternion_oracle(self):
         n = 10 ** 6
-        r = dist._rotations(dist.rng_for(1, 0), n)
+        r = dist.haar_rotations(dist.rng_for(1, 0).standard_normal((n, 3, 3)))
         assert np.max(np.abs(r.mean(axis=0))) <= 3e-3
         tr = np.trace(r, axis1=1, axis2=2)
         oracle = quaternion_rotation_sample(np.random.default_rng(2), 200_000)
@@ -153,37 +153,6 @@ class TestBoxSampler:
                 dist.BoxSpec(*bounds)
 
 
-class TestDensityG:
-    """The chart factor g(u) = |u|^3 / |u3|^3 of box_weights, one point at a time."""
-
-    # boxes of area vol(RP^2) = 2 pi, so a point at the pole weighs 1
-    HALF = np.sqrt(2.0 * np.pi) / 2.0
-    BOXES = [dist.BoxSpec(-HALF, HALF, -HALF, HALF)] * 10
-
-    def g(self, u):
-        """box_weights of u with nine points at the pole, over that of ten at the pole."""
-        points = np.tile([0.0, 0.0, 1.0], (1, 5, 2, 1))
-        poles = dist.box_weights(points, self.BOXES)[0]
-        points[0, 0, 0] = u
-        return dist.box_weights(points, self.BOXES)[0] / poles
-
-    def test_pole(self):
-        assert self.g(np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0)
-
-    def test_diagonal_point(self):
-        u = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        assert self.g(u) == pytest.approx(3.0 * np.sqrt(3.0), rel=1e-12)
-
-    def test_scale_invariance(self):
-        u = np.array([0.3, -0.2, 0.5])
-        assert self.g(u) == pytest.approx(self.g(4.0 * u), rel=1e-12)
-
-    def test_chart_singularity(self):
-        # a point on the chart boundary u3 = 0 lies in no box: weight 0, no division
-        assert self.g(np.array([1.0, 1.0, 0.0])) == 0.0
-        assert self.g(np.array([1.0, 1.0, 1e-13])) == 0.0
-
-
 class TestZVector:
     def test_mean_and_second_moments(self):
         z = dist._z_batch(dist.rng_for(11, 0), 10 ** 6)
@@ -223,28 +192,17 @@ class TestZVector:
 
 
 class TestEssentialUniform:
-    def test_invariants(self):
-        # rotated_quadric_draw draws U, then V, then the base parameters
-        rng = dist.rng_for(14, 0)
-        us, vs = dist._rotations(rng, 20), dist._rotations(rng, 20)
-        _, points = dist.rotated_quadric_draw(dist.rng_for(14, 0), 20)
-        for u, v, tuple5 in zip(us, vs, points):
-            e = EssentialMatrix(u @ E0 @ v.T)
-            assert abs(half_trace_norm(e.m) - 1.0) <= 1e-9
-            residuals = [p @ e.m @ q / (np.linalg.norm(p) * np.linalg.norm(q)) for p, q in tuple5]
-            assert np.max(np.abs(residuals)) <= 1e-12
-
     def test_mean_zero(self):
         rng = dist.rng_for(15, 0)
-        us = dist._rotations(rng, 10 ** 6)
-        vs = dist._rotations(rng, 10 ** 6)
+        us = dist.haar_rotations(rng.standard_normal((10 ** 6, 3, 3)))
+        vs = dist.haar_rotations(rng.standard_normal((10 ** 6, 3, 3)))
         mats = np.einsum("nij,jk,nlk->nil", us, E0, vs)
         assert np.max(np.abs(mats.mean(axis=0))) <= 0.005
 
     def test_two_sided_invariance(self):
         rng = dist.rng_for(16, 0)
-        us = dist._rotations(rng, 200_000)
-        vs = dist._rotations(rng, 200_000)
+        us = dist.haar_rotations(rng.standard_normal((200_000, 3, 3)))
+        vs = dist.haar_rotations(rng.standard_normal((200_000, 3, 3)))
         mats = np.einsum("nij,jk,nlk->nil", us, E0, vs)
         fixed_u = quaternion_rotation_sample(np.random.default_rng(1), 2)
         rotated = np.einsum("ij,njk,lk->nil", fixed_u[0], mats, fixed_u[1])
@@ -254,16 +212,6 @@ class TestEssentialUniform:
 
 
 class TestBoxWeight:
-    def test_scalar_matches_batch(self):
-        rng = dist.rng_for(17, 0)
-        for _ in range(50):
-            a5 = rng.standard_normal((5, 5))
-            a5[:, 4] = rng.uniform(0.0, 2.0 * np.pi, 5)
-            pts = dist.quadric_param(a5)
-            w_scalar = box_weight(pts, BOXES55)
-            w_batch = dist.box_weights(pts[None], BOXES55)[0]
-            assert w_scalar == pytest.approx(w_batch, rel=1e-12, abs=1e-300)
-
     def test_quadric_points_satisfy_base_equation(self):
         rng = dist.rng_for(18, 0)
         a5 = rng.standard_normal((5, 5))
@@ -275,57 +223,16 @@ class TestBoxWeight:
         # density of the box law over the uniform law must average to one
         n = 10 ** 6
         v = rp2(dist.rng_for(19, 0), n)
-        box = BOXES55[0]
-        norms = np.ones(n)
         safe = np.abs(v[:, 2]) > 1e-12
         y1 = v[safe, 0] / v[safe, 2]
         y2 = v[safe, 1] / v[safe, 2]
         inside = (np.abs(y1) <= 5.0) & (np.abs(y2) <= 5.0)
         g = 1.0 / np.abs(v[safe, 2]) ** 3
         w = np.zeros(n)
-        w[safe] = np.where(inside, dist.VOL_RP2 * g / box.area, 0.0)
+        # the uniform law has density 1 / (2 pi) on the projective plane
+        w[safe] = np.where(inside, 2.0 * np.pi * g / (10.0 * 10.0), 0.0)
         se = w.std() / np.sqrt(n)
         assert abs(w.mean() - 1.0) <= 3.0 * se
-
-
-class TestMhChain:
-    def test_constant_density_accepts_everything(self):
-        states, accepted = dist.mh_box_chain(dist.rng_for(20, 0), 2000, BOXES55,
-                                             psi=lambda pts: np.ones(len(pts)))
-        assert accepted == 2000
-        assert len(states) == 2000
-
-    def test_psi_must_weigh_the_whole_batch(self):
-        with pytest.raises(ValueError):
-            dist.mh_box_chain(dist.rng_for(20, 0), 100, BOXES55, psi=lambda pts: 1.0)
-
-    def test_stacked_chain_matches_one_proposal_at_a_time(self):
-        n = 20_000
-        states, accepted = dist.mh_box_chain(dist.rng_for(23, 0), n, BOXES55)
-        reference = mh_box_chain_loop(dist.rng_for(23, 0), n,
-                                      lambda pts: box_weight(pts, BOXES55))
-        assert accepted == len(states) == len(reference) > 0
-        assert [p for p, _, _ in states] == [p for p, _, _ in reference]
-        for (_, pts, density), (_, ref_pts, ref_density) in zip(states, reference):
-            assert np.max(np.abs(pts - ref_pts)) <= 1e-12
-            assert density == pytest.approx(ref_density, rel=1e-12)
-
-    def test_box_chain_acceptance_is_small(self):
-        # heavy-tailed target: very few accepted states (hundreds per 1e6)
-        states, accepted = dist.mh_box_chain(dist.rng_for(21, 0), 10 ** 6, BOXES55)
-        assert 0 < accepted < 20_000
-        positions = np.array([p for p, _, _ in states] + [10 ** 6])
-        occupancy = np.diff(positions)
-        counts = []
-        for (pos, pts, _), occ in zip(states, occupancy):
-            rows = np.stack([np.outer(u, v).ravel() for u, v in pts])
-            res = sv.solve_five_point(sv.LinearSpace(rows), rng=dist.rng_for(22, pos))
-            counts.append(res.real_count if not res.failed else np.nan)
-        counts = np.array(counts, dtype=float)
-        ok = ~np.isnan(counts)
-        weighted = float(np.sum(counts[ok] * occupancy[ok]) / np.sum(occupancy[ok]))
-        # qualitative: the direct estimate is ~3.8; the chain is biased and noisy
-        assert 2.0 <= weighted <= 6.0
 
 
 class TestZeroCountFrequency:

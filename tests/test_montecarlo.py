@@ -190,25 +190,6 @@ class TestDetEstimator:
         assert a.second_moment == b.second_moment
 
 
-class TestMain3Estimator:
-    def test_reduces_to_det_estimator_without_density(self):
-        plain = mc.estimate_count_integral(400_000, seed=31)
-        det = mc.estimate_abs_det(400_000, seed=32)
-        tol = 3.0 * (plain.se + mc.DET_TO_COUNT * det.se_mean)
-        assert abs(plain.estimate - det.derived_mean) <= tol
-
-    def test_zero_measure_boxes(self):
-        far = [(1e8, 2e8, 1e8, 2e8)] * 10
-        est = mc.estimate_count_integral(100_000, seed=33, boxes=far)
-        assert est.estimate == 0.0
-
-    def test_box_estimate_positive_same_order(self):
-        # the importance weights are extremely heavy-tailed (see ledger);
-        # only order-of-magnitude agreement is checkable at this scale
-        est = mc.estimate_count_integral(10 ** 6, seed=34, boxes=BOXES55)
-        assert 0.5 <= est.estimate <= 8.0
-
-
 class TestCrossCheck:
     def test_small_n_agreement(self):
         check = mc.cross_check_determinant_mean(400, 10_000, seed=41)

@@ -91,7 +91,7 @@ class TestStackedPoseMapJacobian:
         r_ref, t_ref = [], []
         for index in range(300):
             rng = dists.rng_for(32, index)
-            r_ref.append(dists._rotations(rng, 1)[0])
+            r_ref.append(dists.haar_rotations(rng.standard_normal((1, 3, 3)))[0])
             ti = rng.standard_normal(3)
             t_ref.append(ti / np.linalg.norm(ti))
         assert np.array_equal(r, np.array(r_ref))
@@ -153,7 +153,7 @@ class TestRotationActionJacobian:
         (u, v), = seen
         assert np.array_equal(u[0], np.eye(3)) and np.array_equal(v[0], np.eye(3))
         for index in range(6):
-            u0, v0 = dists._rotations(dists.rng_for(12, index), 2)
+            u0, v0 = dists.haar_rotations(dists.rng_for(12, index).standard_normal((2, 3, 3)))
             assert np.array_equal(u[index + 1], u0) and np.array_equal(v[index + 1], v0)
         nj = [action_by_oracle(u0, v0) for u0, v0 in zip(u, v)]
         assert report.value == pytest.approx(nj[0], abs=1e-14)
