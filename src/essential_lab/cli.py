@@ -83,10 +83,12 @@ def _numbers(value, depth: int) -> bool:
     """Whether a JSON value is a list nested ``depth`` deep around finite numbers.
 
     A number beyond the float range fails: an integer too large for a
-    float, NaN and the infinities.
+    float, NaN and the infinities.  So do ``true`` and ``false``, which
+    Python reads as ``bool``, a subclass of ``int``.
     """
     if depth == 0:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
     return isinstance(value, list) and all(_numbers(item, depth - 1) for item in value)
 
 

@@ -58,13 +58,11 @@ def demazure_residuals(e: np.ndarray) -> np.ndarray:
     on the cone over the essential variety.
     """
     e = np.asarray(e, dtype=float)
-    eet = e @ np.swapaxes(e, -1, -2)
-    tr = np.trace(eet, axis1=-2, axis2=-1)[..., None, None]
+    eet = e @ e.swapaxes(-1, -2)
+    tr = eet.trace(axis1=-2, axis2=-1)[..., None, None]
     mat = 2.0 * (eet @ e) - tr * e
-    out = np.empty(e.shape[:-2] + (10,))
-    out[..., 0] = np.linalg.det(e)
-    out[..., 1:] = mat.reshape(e.shape[:-2] + (9,))
-    return out
+    return np.concatenate([np.linalg.det(e)[..., None], mat.reshape(e.shape[:-2] + (9,))],
+                          axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ of 3x3 matrices, used for the rank-two (uncalibrated-camera) average.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -70,6 +71,7 @@ _P3 = _product_tensor(_QUAD_EXPS, _LIN_EXPS, _CUB_EXPS)     # quad*lin -> cubic
 _P2_FLAT = _P2.reshape(10, 16).T.copy()                     # (4*4, 10)
 _P3_CQT = _P3.transpose(2, 1, 0).copy()                     # (4, 10, 20)
 _P33_FLAT = np.einsum("tqc,qab->abct", _P3, _P2).reshape(64, 20)  # lin*lin*lin -> cubic
+_EYE10 = np.eye(10)
 _LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3)[None]).reshape(9, 3)  # (j k, i)
 
 
@@ -88,11 +90,12 @@ class LinearSpace:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
-        if rows.shape != (5, 9) or not np.all(np.isfinite(rows)):
+        if rows.shape != (5, 9):
             raise RankDeficient("need a finite 5x9 coefficient matrix")
         basis = nullspace_basis(rows)
-        if np.isnan(basis).any():
-            raise RankDeficient("rows are numerically rank deficient")
+        if np.isnan(basis[0, 0]):   # a bad instance gets an all-NaN basis
+            raise RankDeficient("rows are numerically rank deficient" if np.isfinite(rows).all()
+                                else "need a finite 5x9 coefficient matrix")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         basis.setflags(write=False)
@@ -157,10 +160,21 @@ def nullspace_basis(rows) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.shape[-2:] != (5, 9):
         raise RankDeficient("need 5x9 coefficient matrices")
-    finite = np.all(np.isfinite(rows), axis=(-2, -1))
-    _, svals, vt = np.linalg.svd(np.where(finite[..., None, None], rows, 0.0))
+    finite = np.isfinite(rows).all(axis=(-2, -1))
+    _, svals, vt = np.linalg.svd(_masked(finite, rows, 0.0))
     full_rank = finite & (svals[..., -1] > 1e-10 * svals[..., 0])
-    return np.where(full_rank[..., None, None], vt[..., 5:, :], np.nan)
+    return _masked(full_rank, vt[..., 5:, :], np.nan)
+
+
+def _masked(ok, blocks, fill):
+    """``blocks`` with the entries of each instance whose ``ok`` is false set to ``fill``.
+
+    ``blocks`` itself when every ``ok`` holds; ``np.count_nonzero`` tells
+    that at a fraction of the cost of ``ok.all()`` on the masks of one instance.
+    """
+    if np.count_nonzero(ok) == ok.size:
+        return blocks
+    return np.where(ok.reshape(ok.shape + (1,) * (blocks.ndim - ok.ndim)), blocks, fill)
 
 
 def build_constraint_matrix(basis) -> np.ndarray:
@@ -215,20 +229,19 @@ def action_matrix(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     block = m[..., :10]
-    finite = np.all(np.isfinite(m), axis=(-2, -1))
-    svals = np.linalg.svd(np.where(finite[..., None, None], block, 0.0), compute_uv=False)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    svals = np.linalg.svd(_masked(finite, block, 0.0), compute_uv=False)
     ok = finite & (svals[..., -1] > svals[..., 0] / COND_LIMIT)
-    reduced = np.linalg.solve(np.where(ok[..., None, None], block, np.eye(10)), m[..., 10:])
+    reduced = np.linalg.solve(_masked(ok, block, _EYE10), m[..., 10:])
 
     t = np.zeros(m.shape[:-2] + (10, 10))
     # x * {x^2, xy, xz, y^2, yz, z^2} = {x^3, x^2y, x^2z, xy^2, xyz, xz^2}
-    t[..., :6] = -np.swapaxes(reduced[..., :6, :], -1, -2)
+    t[..., :6] = -reduced[..., :6, :].swapaxes(-1, -2)
     t[..., 0, 6] = 1.0   # x * x = x^2
     t[..., 1, 7] = 1.0   # x * y = xy
     t[..., 2, 8] = 1.0   # x * z = xz
     t[..., 6, 9] = 1.0   # x * 1 = x
-    t[~ok] = np.nan
-    return t
+    return _masked(ok, t, np.nan)
 
 
 class EigenCandidates(NamedTuple):
@@ -249,21 +262,23 @@ def eigen_candidates(t: np.ndarray) -> EigenCandidates:
     """
     t = np.asarray(t, dtype=float)
     stack = t.reshape(-1, 10, 10)
-    values = np.full((stack.shape[0], 10), np.nan, dtype=complex)
-    vectors = np.full((stack.shape[0], 10, 10), np.nan, dtype=complex)
-    finite = np.flatnonzero(np.all(np.isfinite(stack), axis=(1, 2)))
-    if finite.size:
-        try:
-            values[finite], vectors[finite] = np.linalg.eig(np.swapaxes(stack[finite], 1, 2))
-        except np.linalg.LinAlgError:
-            # A stacked call fails as a whole: find the matrices that failed.
-            for i in finite:
-                try:
-                    values[i], vectors[i] = np.linalg.eig(stack[i].T)
-                except np.linalg.LinAlgError:
-                    pass
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    try:
+        values, vectors = np.linalg.eig(_masked(finite, stack, 0.0).swapaxes(1, 2))
+    except np.linalg.LinAlgError:
+        # A stacked call fails as a whole: find the matrices that failed.
+        values = np.full(stack.shape[:2], np.nan, dtype=complex)
+        vectors = np.full(stack.shape, np.nan, dtype=complex)
+        for i in np.flatnonzero(finite):
+            try:
+                values[i], vectors[i] = np.linalg.eig(stack[i].T)
+            except np.linalg.LinAlgError:
+                pass
+    # eig returns real arrays when every eigenvalue is real
+    values = _masked(finite, values.astype(complex, copy=False), np.nan)
+    vectors = _masked(finite, vectors.astype(complex, copy=False), np.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        triples = np.swapaxes(vectors[:, 6:9] / vectors[:, 9:10], 1, 2)
+        triples = (vectors[:, 6:9] / vectors[:, 9:10]).swapaxes(1, 2)
     return EigenCandidates(values.reshape(-1), triples.reshape(-1, 3))
 
 
@@ -321,21 +336,25 @@ def _refine_on_chart(w: np.ndarray, constraint: np.ndarray, iters: int = 10):
 
 
 def _unit_residuals(w, basis, rows_unit):
-    """Unit solution vectors (..., 9) and acceptance residuals (...) at chart points.
+    """Solution matrices (..., 3, 3) and acceptance residuals (...) at chart points.
 
-    ``w`` (..., 3) are chart coordinates over ``basis`` (..., 4, 9); the
-    residual is the largest of the five unit-row equations and of the ten
-    cubics of the half-trace-normalized matrix.  A point whose vector is
-    not finite or vanishes gets a zero vector and an infinite residual.
+    ``w`` (..., 3) are chart coordinates over ``basis`` (..., 4, 9); a
+    solution matrix is the unit solution vector times sqrt(2), of
+    half-trace norm 1.  The residual is the largest of the five unit-row
+    equations and of the ten cubics of that matrix.  A point whose vector
+    is not finite or vanishes gets a zero matrix and an infinite residual.
     """
     evecs = (w[..., None, :] @ basis[..., :3, :])[..., 0, :] + basis[..., 3, :]
-    norms = np.linalg.norm(evecs, axis=-1)
-    ok = np.isfinite(norms) & (norms > 1e-12)
-    units = np.where(ok[..., None], evecs / np.where(ok, norms, 1.0)[..., None], 0.0)
-    linear = np.max(np.abs(units[..., None, :] @ np.swapaxes(rows_unit, -1, -2)), axis=(-2, -1))
+    norms = np.sqrt(np.add.reduce(evecs * evecs, axis=-1))
+    bad = ~(np.isfinite(norms) & (norms > 1e-12))
+    if np.count_nonzero(bad):
+        evecs, norms = np.where(bad[..., None], 0.0, evecs), np.where(bad, 1.0, norms)
+    units = evecs / norms[..., None]
+    linear = np.abs(units[..., None, :] @ rows_unit.swapaxes(-1, -2)).max(axis=(-2, -1))
     mats = (units * np.sqrt(2.0)).reshape(units.shape[:-1] + (3, 3))
-    cubic = np.max(np.abs(demazure_residuals(mats)), axis=-1)
-    return units, np.where(ok, np.maximum(linear, cubic), np.inf)
+    residuals = np.maximum(linear, np.abs(demazure_residuals(mats)).max(axis=-1))
+    residuals[bad] = np.inf
+    return mats, residuals
 
 
 def validate_and_count(candidates, rows, basis, constraint) -> StackResult:
@@ -363,29 +382,27 @@ def validate_and_count(candidates, rows, basis, constraint) -> StackResult:
     triples = np.asarray(candidates.triples, dtype=complex).reshape(n, -1, 3)
     broken = np.isnan(np.asarray(candidates.values)).reshape(n, -1).any(axis=1)
     rows = np.asarray(rows, dtype=float)
-    rows_unit = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
-    constraint = np.asarray(constraint, dtype=float)
+    rows_unit = rows / np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
 
-    finite = np.all(np.isfinite(triples), axis=2)
-    realish = finite & (np.max(np.abs(triples.imag), axis=2) <= REAL_IMAG_TOL)
+    realish = ((np.abs(triples.imag) <= REAL_IMAG_TOL) & np.isfinite(triples.real)).all(axis=2)
     w = triples.real
-    units = np.zeros(realish.shape + (9,))
+    solutions = np.zeros(realish.shape + (3, 3))
     residuals = np.full(realish.shape, np.inf)
-    real = np.nonzero(realish)
-    units[real], residuals[real] = _unit_residuals(w[real], basis[real[0]],
-                                                   rows_unit[real[0]])
-    redo = np.nonzero(realish & ~(residuals <= TOL_INVARIANT))
-    if redo[0].size:
+    real = realish.nonzero()
+    solutions[real], residuals[real] = found = _unit_residuals(w[real], basis[real[0]],
+                                                               rows_unit[real[0]])
+    doubt = ~(found[1] <= TOL_INVARIANT)
+    if np.count_nonzero(doubt):
+        redo = real[0][doubt], real[1][doubt]
         owner = redo[0]
-        refined = _refine_on_chart(w[redo], constraint[owner])
-        units[redo], residuals[redo] = _unit_residuals(refined, basis[owner], rows_unit[owner])
+        refined = _refine_on_chart(w[redo], np.asarray(constraint, dtype=float)[owner])
+        solutions[redo], residuals[redo] = _unit_residuals(refined, basis[owner], rows_unit[owner])
 
-    kept = realish & (residuals <= ACCEPT_RESIDUAL)
+    kept = residuals <= ACCEPT_RESIDUAL     # a candidate that is not real has residual inf
     count = kept.sum(axis=1)
-    reason = np.where(broken, ELIMINATION, np.where(count % 2, PARITY, SOLVED))
+    reason = np.where(broken, ELIMINATION, count % 2 * PARITY)    # an even count is SOLVED (0)
     return StackResult(np.where(reason == SOLVED, count, 0), reason,
-                       np.zeros(n, dtype=np.int64), kept,
-                       (units * np.sqrt(2.0)).reshape(units.shape[:-1] + (3, 3)), residuals)
+                       np.zeros(n, dtype=np.int64), kept, solutions, residuals)
 
 
 def solve_batch(rows, basis, rngs, retries: int = 5) -> StackResult:
@@ -399,31 +416,32 @@ def solve_batch(rows, basis, rngs, retries: int = 5) -> StackResult:
     up to ``retries`` times; a parity failure earns one extra
     re-randomized attempt.  The instances that need a new chart rerun the
     stages together, so each instance gets the result it gets alone.
+    ``rngs[i]`` is looked up only when instance i needs a new chart.
     """
-    rows = np.asarray(rows, dtype=float)
-    basis = np.asarray(basis, dtype=float)
-    n = basis.shape[0]
-    charts = basis.copy()
-    out = StackResult(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-                      np.zeros(n, dtype=np.int64), np.zeros((n, 10), dtype=bool),
-                      np.zeros((n, 10, 3, 3)), np.full((n, 10), np.inf))
-    parity_used = np.zeros(n, dtype=bool)
-    todo = np.arange(n)
+    rows = np.ascontiguousarray(rows, dtype=float)
+    basis = np.ascontiguousarray(basis, dtype=float)
+    out = _solve_on_charts(rows, basis)
+    todo = (out.reason != SOLVED).nonzero()[0]
+    parity_used = np.zeros(len(basis), dtype=bool)
     while todo.size:
-        constraint = build_constraint_matrix(charts[todo])
-        judged = validate_and_count(eigen_candidates(action_matrix(constraint)),
-                                    rows[todo], charts[todo], constraint)
+        parity = out.reason[todo] == PARITY
+        todo = todo[(out.retries[todo] < retries) & ~(parity & parity_used[todo])]
+        if not todo.size:
+            break
+        parity_used[todo] |= out.reason[todo] == PARITY
+        out.retries[todo] += 1
+        charts = np.stack([_haar_o4(rngs[i]) @ basis[i] for i in todo])
+        judged = _solve_on_charts(rows[todo], charts)
         for field in ("count", "reason", "kept", "solutions", "residuals"):
             getattr(out, field)[todo] = getattr(judged, field)
         todo = todo[judged.reason != SOLVED]
-        if todo.size:
-            parity = out.reason[todo] == PARITY
-            todo = todo[(out.retries[todo] < retries) & ~(parity & parity_used[todo])]
-            parity_used[todo] |= out.reason[todo] == PARITY
-            out.retries[todo] += 1
-            for i in todo:
-                charts[i] = _haar_o4(rngs[i]) @ basis[i]
     return out
+
+
+def _solve_on_charts(rows, charts) -> StackResult:
+    """One round of :func:`solve_batch`: the four stages on a stack of charts."""
+    constraint = build_constraint_matrix(charts)
+    return validate_and_count(eigen_candidates(action_matrix(constraint)), rows, charts, constraint)
 
 
 def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountResult:
@@ -438,18 +456,17 @@ def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountRes
     """
     if not isinstance(space, LinearSpace):
         space = LinearSpace(np.asarray(space))
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    out = solve_batch(space.rows[None], space.basis[None], [rng], retries)
+    # the generator is built at the first retry, if there is one
+    out = solve_batch(space.rows[None], space.basis[None],
+                      defaultdict(lambda: np.random.default_rng(rng)), retries)
     tries = int(out.retries[0])
     if out.reason[0] != SOLVED:
         return CountResult(0, (), "failed", tries, FAILURE_REASONS[out.reason[0]], 0.0)
     kept = out.kept[0]
-    residuals = out.residuals[0, kept]
-    solutions = tuple(EssentialMatrix.trusted(mat, residual)
-                      for mat, residual in zip(out.solutions[0, kept], residuals))
+    residuals = out.residuals[0, kept].tolist()
+    solutions = tuple(map(EssentialMatrix.trusted, out.solutions[0, kept], residuals))
     return CountResult(len(solutions), solutions, "retried" if tries else "ok", tries, "",
-                       float(np.max(residuals, initial=0.0)))
+                       max(residuals, default=0.0))
 
 
 def _pencil_coefficients(a: np.ndarray, b: np.ndarray):

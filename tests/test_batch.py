@@ -223,6 +223,59 @@ class TestSolveBatch:
         assert alone.shape == (1, 10, 10) and np.all(np.isnan(alone))
         assert np.all(np.isnan(sv.eigen_candidates(alone).values))
 
+    def test_masking_one_instance_leaves_the_others_exact(self):
+        """A stage gives the good instances of a stack with one failed instance
+        the same bits as the same stack with nothing to mask."""
+        rng = np.random.default_rng(8)
+        good = [0, 1, 3, 4, 5]
+        rows = rng.standard_normal((6, 5, 9))
+        bad_rows = rows.copy()
+        bad_rows[2, 0, 0] = np.nan
+        basis, masked_basis = sv.nullspace_basis(rows), sv.nullspace_basis(bad_rows)
+        assert np.all(np.isnan(masked_basis[2]))
+        assert np.array_equal(masked_basis[good], basis[good])
+
+        ill = basis.copy()
+        ill[2] = forced_retry_instance(rng)[1]
+        t, masked_t = (sv.action_matrix(sv.build_constraint_matrix(b)) for b in (basis, ill))
+        assert np.all(np.isfinite(t)) and np.all(np.isnan(masked_t[2]))
+        assert np.array_equal(masked_t[good], t[good])
+
+        nan_t = t.copy()
+        nan_t[2] = np.nan
+        clean, masked = sv.eigen_candidates(t), sv.eigen_candidates(nan_t)
+        for got, want in ((masked.values, clean.values), (masked.triples, clean.triples)):
+            got, want = got.reshape(6, 10, -1), want.reshape(6, 10, -1)
+            assert np.all(np.isnan(got[2]))
+            assert np.array_equal(got[good], want[good])
+
+    def test_one_instance_builds_a_generator_only_to_retry(self, monkeypatch):
+        rows, _, _ = planted_instance(np.random.default_rng(0))
+        forced_rows, forced_basis = forced_retry_instance(np.random.default_rng(5))
+        seeded = np.random.default_rng
+        built = []
+
+        def counting_default_rng(seed=None):
+            built.append(seed)
+            return seeded(seed)
+
+        monkeypatch.setattr(sv.np.random, "default_rng", counting_default_rng)
+        assert not sv.solve_five_point(rows, rng=7).failed and built == []
+        # its own kernel basis would give this instance a chart that solves; the
+        # forced one fails elimination, so the solve retries
+        monkeypatch.setattr(sv, "nullspace_basis", lambda rows: forced_basis.copy())
+        by_seed = sv.solve_five_point(forced_rows, rng=7)
+        assert built == [7] and by_seed.status == "retried"
+        by_generator = sv.solve_five_point(forced_rows, rng=seeded(7))
+        for result in (by_seed, by_generator):
+            assert result.real_count == len(result.solutions)
+        assert ((by_seed.real_count, by_seed.status, by_seed.retries, by_seed.reason,
+                 by_seed.residual_max)
+                == (by_generator.real_count, by_generator.status, by_generator.retries,
+                    by_generator.reason, by_generator.residual_max))
+        assert ([(s.m.tobytes(), s.residual) for s in by_seed.solutions]
+                == [(s.m.tobytes(), s.residual) for s in by_generator.solutions])
+
 
 def mixing_matrix(rng):
     """An invertible 5x5 matrix with singular values in [0.5, 2]."""

@@ -9,6 +9,9 @@ from essential_lab import cli
 from oracles import planted_instance
 
 PAIR = {"u": [1.0, 2.0, 3.0], "v": [0.5, -1.0, 2.0]}
+#: A solvable instance, as rows and as correspondences.
+ROWS = np.random.default_rng(2).standard_normal((5, 9)).tolist()
+POINTS = [{"u": u, "v": v} for u, v in np.random.default_rng(3).standard_normal((5, 2, 3)).tolist()]
 
 
 def run_cli(args):
@@ -79,6 +82,11 @@ class TestSolveCommand:
         {"correspondences": [PAIR] * 5},
         {"rows": [[10 ** 400] + [0.0] * 8] + [[1.0] * 9] * 4},
         {"correspondences": [PAIR] * 4 + [{"u": [10 ** 400, 1.0, 1.0], "v": [0.5, -1.0, 2.0]}]},
+        # JSON true and false are not numbers, though Python reads them as ints
+        {"rows": [[True] + ROWS[0][1:]] + ROWS[1:]},
+        {"rows": ROWS[:4] + [ROWS[4][:8] + [False]]},
+        {"correspondences": [{"u": [True, 0.2, 1.0], "v": PAIR["v"]}] + POINTS[1:]},
+        {"correspondences": POINTS[:4] + [{"u": PAIR["u"], "v": [0.3, False, 1.0]}]},
     ])
     def test_malformed_instance_is_validation_error(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
@@ -129,6 +137,7 @@ class TestExperimentCommand:
         {"boxes": [[-5, 5, -5, 5]] * 9 + [[-5, math.inf, -5, 5]]},
         {"boxes": [[-5, 5, -5, 5]] * 9 + [[-1e308, 1e308, -5, 5]]},
         {"boxes": [[-5, 5, -5, 5]] * 9 + [[-5, 10 ** 400, -5, 5]]},
+        {"boxes": [[-5, 5, -5, 5]] * 9 + [[False, 5, -5, 5]]},
     ])
     def test_malformed_box_config_is_validation_error(self, tmp_path, payload):
         boxes = tmp_path / "boxes.json"
