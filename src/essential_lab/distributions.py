@@ -173,10 +173,11 @@ def _stack(rngs, draw, shape, rows_of, redraw):
 
     ``draw(rng, out)`` fills one instance's slot of shape ``shape``, and
     ``rows_of(raw, rngs)`` maps the stacked draws to rows (N, 5, 9).
-    Returns the rows and their kernel bases (N, 4, 9) from one SVD per
-    instance.  With ``redraw`` a rank-deficient instance is drawn again
-    from its own generator until it has full rank; without, it raises
-    :class:`RankDeficient`.
+    Returns the rows and their kernel bases (N, 4, 9) from one QR
+    factorization per instance, which also checks the rank
+    (:func:`nullspace_basis`).  With ``redraw`` a rank-deficient instance
+    is drawn again from its own generator until it has full rank; without,
+    it raises :class:`RankDeficient`.
     """
     rows = rows_of(_fill(rngs, draw, np.empty((len(rngs),) + shape)), rngs)
     basis = nullspace_basis(rows)

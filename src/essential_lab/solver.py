@@ -10,6 +10,13 @@ real ones, refining by Gauss-Newton those that the eigenvectors give too
 coarsely.  Ten complex solutions exist for generic input, so the real count
 is an even number between 0 and 10.
 
+No stage takes an SVD.  The nullspace comes from a complete QR
+factorization of the transposed equations, and the equations have full
+rank when every diagonal entry of R exceeds 1e-10 times the largest.  The
+reduction is one LU solve that also returns the inverse of the eliminated
+block, and the block passes when its exact 1-norm condition number is
+below 1e12.
+
 Every stage takes a stack of instances along leading axes, and a failed
 instance comes back from it as NaN.  :func:`solve_batch` runs a whole
 stack through the stages at once and returns a :class:`StackResult` of
@@ -34,7 +41,7 @@ from .geometry import TOL_INVARIANT, EssentialMatrix, demazure_residuals
 
 REAL_IMAG_TOL = 1e-6      # |Im| threshold before refinement
 ACCEPT_RESIDUAL = 1e-8    # max residual after refinement
-COND_LIMIT = 1e12         # condition ceiling for the elimination block
+COND_LIMIT = 1e12         # 1-norm condition ceiling for the elimination block
 
 #: Failure reasons of an instance, indexed by the codes below.
 FAILURE_REASONS = ("", "elimination", "parity")
@@ -72,6 +79,8 @@ _P2_FLAT = _P2.reshape(10, 16).T.copy()                     # (4*4, 10)
 _P3_CQT = _P3.transpose(2, 1, 0).copy()                     # (4, 10, 20)
 _P33_FLAT = np.einsum("tqc,qab->abct", _P3, _P2).reshape(64, 20)  # lin*lin*lin -> cubic
 _EYE10 = np.eye(10)
+_SOLVE_FAILED = (np.full((10, 20), np.nan),)
+_EIG_FAILED = (np.full(10, np.nan, dtype=complex), np.full((10, 10), np.nan, dtype=complex))
 _LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3)[None]).reshape(9, 3)  # (j k, i)
 
 
@@ -79,10 +88,11 @@ _LEVI_CIVITA = np.cross(np.eye(3)[:, None], np.eye(3)[None]).reshape(9, 3)  # (j
 class LinearSpace:
     """Five linear functionals on 3x3 matrices (row-major vectorization).
 
-    The row span must have numerical rank 5: the smallest singular value
-    has to exceed 1e-10 times the largest, or RankDeficient is raised.
-    The SVD that checks it also gives ``basis``, an orthonormal basis
-    (4x9) of the common kernel.
+    The row span must have numerical rank 5, as :func:`nullspace_basis`
+    tests it (every diagonal entry of R in the QR factorization of the
+    transposed rows above 1e-10 times the largest in magnitude), or
+    RankDeficient is raised.  The QR that checks it also gives ``basis``,
+    an orthonormal basis (4x9) of the common kernel.
     """
 
     rows: np.ndarray
@@ -153,17 +163,22 @@ class StackResult(NamedTuple):
 def nullspace_basis(rows) -> np.ndarray:
     """Orthonormal basis (4x9) of the common kernel of the five rows.
 
-    ``rows`` is (..., 5, 9); one SVD per instance gives both the rank
-    check and the basis.  An instance whose rows are not finite or not of
-    numerical rank 5 gets a NaN basis.
+    ``rows`` is (..., 5, 9); one complete QR factorization of the
+    transposed rows per instance gives both the basis (the last four
+    columns of Q) and the rank check: every diagonal entry of R must
+    exceed 1e-10 times the largest in magnitude.  The smallest entry is
+    taken over the whole diagonal, because a dependency among the first
+    rows shows in a middle entry, not only in the last.  An instance whose
+    rows are not finite or not of numerical rank 5 gets a NaN basis.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.shape[-2:] != (5, 9):
         raise RankDeficient("need 5x9 coefficient matrices")
     finite = np.isfinite(rows).all(axis=(-2, -1))
-    _, svals, vt = np.linalg.svd(_masked(finite, rows, 0.0))
-    full_rank = finite & (svals[..., -1] > 1e-10 * svals[..., 0])
-    return _masked(full_rank, vt[..., 5:, :], np.nan)
+    q, r = np.linalg.qr(_masked(finite, rows, 0.0).swapaxes(-1, -2), mode="complete")
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    full_rank = finite & (diag.min(axis=-1) > 1e-10 * diag.max(axis=-1))
+    return _masked(full_rank, q[..., 5:].swapaxes(-1, -2).copy(), np.nan)
 
 
 def _masked(ok, blocks, fill):
@@ -175,6 +190,35 @@ def _masked(ok, blocks, fill):
     if np.count_nonzero(ok) == ok.size:
         return blocks
     return np.where(ok.reshape(ok.shape + (1,) * (blocks.ndim - ok.ndim)), blocks, fill)
+
+
+def _stacked_or_each(func, failed, *stacks):
+    """``func(*stacks)``, one stacked LAPACK call returning a tuple of arrays.
+
+    LAPACK fails a stacked call as a whole when one matrix fails (an
+    exactly singular matrix in ``solve``, an eigen-iteration that does not
+    converge in ``eig``).  Then ``func`` runs matrix by matrix, and a
+    matrix that fails gets ``failed``, one matrix's worth of each output.
+    """
+    try:
+        return func(*stacks)
+    except np.linalg.LinAlgError:
+        each = []
+        for args in zip(*stacks):
+            try:
+                each.append(func(*args))
+            except np.linalg.LinAlgError:
+                each.append(failed)
+        return tuple(map(np.stack, zip(*each)))
+
+
+def _solve(a, b):
+    return (np.linalg.solve(a, b),)
+
+
+def _norm1(a):
+    """Matrix 1-norms (...) of ``a`` (..., n, n): the largest absolute column sum."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
 def build_constraint_matrix(basis) -> np.ndarray:
@@ -223,16 +267,22 @@ def action_matrix(m: np.ndarray) -> np.ndarray:
     left block is indexed by the ten degree-3 monomials) and assembles the
     10x10 matrix of multiplication by x on the quotient basis
     [x^2, xy, xz, y^2, yz, z^2, x, y, z, 1]: products that leave the basis
-    are rewritten through B, the rest are basis inclusions.  A left block
-    with condition number beyond 1e12 fails the elimination, and the
-    instance's action matrix is NaN.
+    are rewritten through B, the rest are basis inclusions.  One solve
+    with the right-hand side ``[right block | I]`` gives B and the inverse
+    of the left block; a left block whose exact 1-norm condition number,
+    ``|block|_1 * |inverse|_1``, is not below 1e12, or that LAPACK finds
+    exactly singular, fails the elimination, and the instance's action
+    matrix is NaN.
     """
     m = np.asarray(m, dtype=float)
-    block = m[..., :10]
     finite = np.isfinite(m).all(axis=(-2, -1))
-    svals = np.linalg.svd(_masked(finite, block, 0.0), compute_uv=False)
-    ok = finite & (svals[..., -1] > svals[..., 0] / COND_LIMIT)
-    reduced = np.linalg.solve(_masked(ok, block, _EYE10), m[..., 10:])
+    block = _masked(finite, m[..., :10], _EYE10)
+    rhs = np.empty(m.shape)
+    rhs[..., :10] = m[..., 10:]
+    rhs[..., 10:] = _EYE10
+    (solved,) = _stacked_or_each(_solve, _SOLVE_FAILED, block, rhs)
+    reduced, inverse = solved[..., :10], solved[..., 10:]
+    ok = finite & (_norm1(block) * _norm1(inverse) < COND_LIMIT)
 
     t = np.zeros(m.shape[:-2] + (10, 10))
     # x * {x^2, xy, xz, y^2, yz, z^2} = {x^3, x^2y, x^2z, xy^2, xyz, xz^2}
@@ -263,17 +313,8 @@ def eigen_candidates(t: np.ndarray) -> EigenCandidates:
     t = np.asarray(t, dtype=float)
     stack = t.reshape(-1, 10, 10)
     finite = np.isfinite(stack).all(axis=(1, 2))
-    try:
-        values, vectors = np.linalg.eig(_masked(finite, stack, 0.0).swapaxes(1, 2))
-    except np.linalg.LinAlgError:
-        # A stacked call fails as a whole: find the matrices that failed.
-        values = np.full(stack.shape[:2], np.nan, dtype=complex)
-        vectors = np.full(stack.shape, np.nan, dtype=complex)
-        for i in np.flatnonzero(finite):
-            try:
-                values[i], vectors[i] = np.linalg.eig(stack[i].T)
-            except np.linalg.LinAlgError:
-                pass
+    values, vectors = _stacked_or_each(np.linalg.eig, _EIG_FAILED,
+                                       _masked(finite, stack, 0.0).swapaxes(1, 2))
     # eig returns real arrays when every eigenvalue is real
     values = _masked(finite, values.astype(complex, copy=False), np.nan)
     vectors = _masked(finite, vectors.astype(complex, copy=False), np.nan)
@@ -456,7 +497,11 @@ def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountRes
     """
     if not isinstance(space, LinearSpace):
         space = LinearSpace(np.asarray(space))
-    # the generator is built at the first retry, if there is one
+    # a seed numpy takes as it is waits for a first retry to become a
+    # generator; anything else is checked by building the generator now
+    if not (rng is None or isinstance(rng, (np.random.Generator, np.random.BitGenerator))
+            or isinstance(rng, (int, np.integer)) and rng >= 0):
+        rng = np.random.default_rng(rng)
     out = solve_batch(space.rows[None], space.basis[None],
                       defaultdict(lambda: np.random.default_rng(rng)), retries)
     tries = int(out.retries[0])

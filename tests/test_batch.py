@@ -277,6 +277,49 @@ class TestSolveBatch:
                 == [(s.m.tobytes(), s.residual) for s in by_generator.solutions])
 
 
+    def test_an_eigen_failure_fails_only_its_own_instance(self, monkeypatch):
+        """A stacked eig that LAPACK fails is redone matrix by matrix."""
+        rows, basis = dist.sample_unifG(dist.Streams(19, 0, 4))
+        t = sv.action_matrix(sv.build_constraint_matrix(basis))
+        clean = sv.eigen_candidates(t)
+        eig = np.linalg.eig
+
+        def fails_on_instance_2(a):
+            if a.ndim == 3 or np.array_equal(a, t[2].T):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", fails_on_instance_2)
+        failed = sv.eigen_candidates(t)
+        for got, want in ((failed.values, clean.values), (failed.triples, clean.triples)):
+            got, want = got.reshape(4, 10, -1), want.reshape(4, 10, -1)
+            assert np.all(np.isnan(got[2]))
+            assert np.array_equal(got[[0, 1, 3]], want[[0, 1, 3]])
+        result = sv.validate_and_count(failed, rows, basis, sv.build_constraint_matrix(basis))
+        assert result.reason.tolist() == [sv.SOLVED, sv.SOLVED, sv.ELIMINATION, sv.SOLVED]
+
+    @pytest.mark.parametrize("rng, error", [("seed", TypeError), (-1, ValueError)])
+    def test_one_instance_rejects_an_unusable_rng_before_solving(self, rng, error):
+        rows, _, _ = planted_instance(np.random.default_rng(0))
+        assert sv.solve_five_point(rows).status == "ok"    # no retry would build a generator
+        with pytest.raises(error):
+            sv.solve_five_point(rows, rng=rng)
+
+    def test_no_stage_takes_an_svd(self, monkeypatch):
+        forced_rows, forced_basis = forced_retry_instance(np.random.default_rng(5))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was taken")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        streams = dist.Streams(17, 0, 6)
+        rows, basis = dist.sample_psi(streams)
+        rows[3], basis[3] = forced_rows, forced_basis
+        result = sv.solve_batch(rows, basis, streams)
+        assert result.retries[3] > 0 and np.all(result.reason == sv.SOLVED)
+        assert sv.solve_five_point(rows[0], rng=0).status == "ok"
+
+
 def mixing_matrix(rng):
     """An invertible 5x5 matrix with singular values in [0.5, 2]."""
     q1 = np.linalg.qr(rng.standard_normal((5, 5)))[0]

@@ -57,12 +57,10 @@ class TestNullspaceBasis:
         assert np.allclose(basis @ basis.T, np.eye(4), atol=1e-12)
 
     def test_random_residual(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            rows = rng.standard_normal((5, 9))
-            basis = sv.nullspace_basis(rows)
-            assert np.max(np.abs(rows @ basis.T)) <= 1e-12
-            assert np.allclose(basis @ basis.T, np.eye(4), atol=1e-12)
+        rows = np.random.default_rng(1).standard_normal((20, 5, 9))
+        basis = sv.nullspace_basis(rows)
+        assert np.max(np.abs(rows @ basis.swapaxes(1, 2))) <= 1e-13
+        assert np.max(np.abs(basis @ basis.swapaxes(1, 2) - np.eye(4))) <= 1e-13
 
     def test_rank_deficient_rejected(self):
         rng = np.random.default_rng(2)
@@ -70,6 +68,24 @@ class TestNullspaceBasis:
         rows[1] = rows[0]
         basis = sv.nullspace_basis(rows[None])
         assert basis.shape == (1, 4, 9) and np.all(np.isnan(basis))
+
+    def test_middle_dependency_rejected(self):
+        """A dependency among the first rows shows in a middle diagonal entry of R."""
+        rows = np.random.default_rng(21).standard_normal((5, 9))
+        rows[2] = rows[0] - rows[1]
+        r = np.linalg.qr(rows.T, mode="complete")[1]
+        diag = np.abs(np.diag(r))
+        assert diag[4] > 1e-10 * diag.max() and diag.min() <= 1e-10 * diag.max()
+        assert np.all(np.isnan(sv.nullspace_basis(rows)))
+
+    @pytest.mark.parametrize("smallest, full_rank", [(1e-13, False), (1e-9, True)])
+    def test_rank_follows_the_smallest_relative_singular_value(self, smallest, full_rank):
+        rng = np.random.default_rng(22)
+        left = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        right = np.linalg.qr(rng.standard_normal((9, 5)))[0]
+        rows = left @ np.diag([1.0, 0.8, 0.6, 0.4, smallest]) @ right.T
+        basis = sv.nullspace_basis(rows)
+        assert np.all(np.isfinite(basis)) if full_rank else np.all(np.isnan(basis))
 
 
 class TestConstraintMatrix:
@@ -129,6 +145,22 @@ class TestActionMatrix:
         matrix[1] = matrix[0]
         op = sv.action_matrix(matrix[None])
         assert op.shape == (1, 10, 10) and np.all(np.isnan(op))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("cond, kept", [(1e11, True), (1e13, False)])
+    def test_elimination_keeps_blocks_below_the_1_norm_condition_ceiling(self, cond, kept,
+                                                                         scale):
+        """The ceiling is on |block|_1 * |inverse|_1, whatever the block's own scale."""
+        diagonal = scale * np.r_[[1.0] * 9, 1.0 / cond]
+        matrix = np.zeros((1, 10, 20))
+        matrix[0, :, :10] = np.diag(diagonal)
+        matrix[0, :, 10:] = np.random.default_rng(9).standard_normal((10, 10))
+        op = sv.action_matrix(matrix)
+        if kept:
+            reduced = matrix[0, :, 10:] / diagonal[:, None]
+            assert np.allclose(op[0, :, :6], -reduced[:6].T, rtol=1e-15, atol=0.0)
+        else:
+            assert np.all(np.isnan(op))
 
 
 class TestEigenCandidates:
