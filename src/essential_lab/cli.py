@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 validation or I/O failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -133,26 +134,17 @@ def write_report(report: dict, path, fmt: str = "json") -> None:
     CSV is only available for experiment reports and writes the histogram
     as ``real_count,frequency`` rows.
     """
-    if fmt == "csv":
-        if "histogram" not in report:
-            raise ValueError("CSV format is only available for histogram reports")
-        rows = [(k, int(v)) for k, v in enumerate(report["histogram"])]
-        if path is None:
-            writer = csv.writer(sys.stdout)
+    if fmt == "csv" and "histogram" not in report:
+        raise ValueError("CSV format is only available for histogram reports")
+    # the csv module ends rows with \r\n itself, so the file must not translate newlines
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="", encoding="utf-8")) as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle)
             writer.writerow(["real_count", "frequency"])
-            writer.writerows(rows)
+            writer.writerows((k, int(v)) for k, v in enumerate(report["histogram"]))
         else:
-            with open(path, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["real_count", "frequency"])
-                writer.writerows(rows)
-        return
-    text = json.dumps(report, sort_keys=True, indent=2)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _with_envelope(payload: dict, config: dict) -> dict:

@@ -42,6 +42,22 @@ def _gram_root(jac: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
 
 
+def _tangent_gram_root(points: np.ndarray, u: np.ndarray, v: np.ndarray,
+                       h: float) -> np.ndarray:
+    """Normal Jacobians of curves into the variety, from their points at steps (h, -h).
+
+    ``points`` (N, k, 2, 3, 3) holds each of the k input curves of sample
+    i at both steps.  Entries are half-trace inner products of the central
+    differences with the tangent basis carried to U_i E0 V_i^T, and each
+    value is ``sqrt(det J J^T)`` of the 5 x k Jacobian.
+    """
+    diffs = (points[:, :, 0] - points[:, :, 1]) / (2.0 * h)
+    frames = u[:, None] @ tangent_basis_E0() @ np.swapaxes(v, 1, 2)[:, None]
+    # summing the nine products per entry rounds as the one-sample sum does
+    products = (frames[:, :, None] * diffs[:, None]).reshape(-1, 5, points.shape[1], 9)
+    return _gram_root(0.5 * np.sum(products, axis=3))
+
+
 def _rodrigues(f: np.ndarray, s) -> np.ndarray:
     """Rotations exp(s F) for skew matrices F (..., 3, 3) of unit half-trace norm.
 
@@ -99,12 +115,7 @@ def nj_pose_map(r, t, h: float = DEFAULT_STEP) -> np.ndarray:
     circles = (np.cos(steps)[:, None] * t[:, None, None]
                + np.sin(steps)[:, None] * np.swapaxes(u[:, :, 1:], 1, 2)[:, :, None])
     on_sphere = cross_matrix(circles) @ r[:, None, None]
-    points = np.concatenate([on_rot, on_sphere], axis=1)         # (N, 5, 2, 3, 3)
-    diffs = (points[:, :, 0] - points[:, :, 1]) / (2.0 * h)
-    frames = u[:, None] @ tangent_basis_E0() @ np.swapaxes(v, 1, 2)[:, None]
-    # summing the nine products per entry rounds as the one-pose sum does
-    return _gram_root(0.5 * np.sum((frames[:, :, None] * diffs[:, None]).reshape(-1, 5, 5, 9),
-                                   axis=3))
+    return _tangent_gram_root(np.concatenate([on_rot, on_sphere], axis=1), u, v, h)
 
 
 def sample_poses(seed: int, n: int):
@@ -164,11 +175,7 @@ def nj_rotation_action(u, v, h: float = DEFAULT_STEP) -> np.ndarray:
     ue, vt = (u @ E0)[:, None, None], np.swapaxes(v, 1, 2)[:, None, None]
     on_v = ue @ np.swapaxes(v[:, None, None] @ rots, 3, 4)
     on_u = (u[:, None, None] @ rots) @ E0 @ vt
-    points = np.concatenate([on_v, on_u], axis=1)                 # (N, 6, 2, 3, 3)
-    diffs = (points[:, :, 0] - points[:, :, 1]) / (2.0 * h)
-    frames = u[:, None] @ tangent_basis_E0() @ np.swapaxes(v, 1, 2)[:, None]
-    return _gram_root(0.5 * np.sum((frames[:, :, None] * diffs[:, None]).reshape(-1, 5, 6, 9),
-                                   axis=3))
+    return _tangent_gram_root(np.concatenate([on_v, on_u], axis=1), u, v, h)
 
 
 def verify_nj_gamma(seed: int = 0, h: float = DEFAULT_STEP, tol: float = 1e-5,

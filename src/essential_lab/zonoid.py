@@ -13,7 +13,7 @@ expected count (>= 0.93).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,79 +30,48 @@ AXIS_SCALE = np.array([2.0 / math.pi ** 2, 2.0 / math.pi ** 2, 1.0 / math.pi])
 MEMBERSHIP_TOL = 1e-9
 
 
-def elliptic_E(m) -> float | np.ndarray:
+def elliptic_E(m) -> np.ndarray:
     """Complete elliptic integral of the second kind, parameter m in [0, 1].
 
-    Arithmetic-geometric-mean iteration; absolute error below 1e-13.
-    Accepts scalars or arrays; each value is computed as it would be alone.
+    scipy's ``ellipe``, elementwise over an array of parameters.
     """
     arr = np.asarray(m, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError("parameter must lie in [0, 1]")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    one = arr == 1.0
-    out[one] = 1.0
-    rest = ~one
-    if np.any(rest):
-        mm = arr[rest]
-        a = np.ones_like(mm)
-        b = np.sqrt(1.0 - mm)
-        c2_sum = 0.5 * mm          # 2^(n-1) c_n^2 accumulated from c_0^2 = m
-        power = 0.5
-        live = np.ones(mm.shape, dtype=bool)
-        for _ in range(60):
-            # each value stops at its own |c| <= 2^-52 a (1e-16 a fails where a and
-            # b settle one ulp apart below 0.555), so it does not depend on the others
-            c = np.where(live, 0.5 * (a - b), 0.0)
-            a, b = np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b)
-            power *= 2.0
-            c2_sum += power * c * c
-            live &= np.abs(c) > 2.0 ** -52 * a
-            if not live.any():
-                break
-        k = np.pi / (2.0 * a)
-        out[rest] = k * (1.0 - c2_sum)
-    return float(out[0]) if scalar else out
+    # imported here, as ConvexHull is, so that the other commands load no scipy
+    from scipy.special import ellipe
+
+    return ellipe(arr)
 
 
-def F_bound(x, y) -> float | np.ndarray:
-    """Elliptic support lower bound ``2/pi^2 sqrt(x^2+y^2) E(x^2/(x^2+y^2))``."""
+def F_bound(x, y) -> np.ndarray:
+    """Elliptic support lower bound ``2/pi^2 sqrt(x^2+y^2) E(x^2/(x^2+y^2))``.
+
+    At the origin it takes its limit, 0.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rad2 = x * x + y * y
-    if np.any(rad2 == 0.0):
-        raise DomainError("F is undefined at the origin")
-    return (2.0 / math.pi ** 2) * np.sqrt(rad2) * elliptic_E(x * x / rad2)
+    ratio = np.divide(x * x, rad2, out=np.zeros(rad2.shape), where=rad2 != 0.0)
+    return (2.0 / math.pi ** 2) * np.sqrt(rad2) * elliptic_E(ratio)
 
 
-def hL_support(rho) -> float | np.ndarray:
+def hL_support(rho) -> np.ndarray:
     """Support function of the bounding body on the nonnegative octant.
 
-    The maximum of the axis bounds and the two elliptic bounds; the
-    elliptic terms are taken as 0 when both of their arguments vanish.
+    The maximum of the axis bounds and the two elliptic bounds at each
+    point of ``rho`` (..., 3); the result has the shape of its leading axes.
     """
-    rho = np.asarray(rho, dtype=float)
-    scalar = rho.ndim == 1
-    r = np.atleast_2d(rho)
-    r1, r2, r3 = r[:, 0], r[:, 1], r[:, 2]
-
-    def safe_f(a, b):
-        # F is undefined at the origin: evaluate it at (a, 1) there, then drop it
-        zero = a * a + b * b == 0.0
-        return np.where(zero, 0.0, F_bound(a, np.where(zero, 1.0, b)))
-
+    r1, r2, r3 = np.moveaxis(np.asarray(rho, dtype=float), -1, 0)
     values = np.stack([
         np.zeros_like(r1),
         (2.0 / math.pi ** 2) * r1,
         (2.0 / math.pi ** 2) * r2,
         (1.0 / math.pi) * r3,
-        safe_f(r1, r3),
-        safe_f(r2, r3),
+        F_bound(r1, r3),
+        F_bound(r2, r3),
     ])
-    out = values.max(axis=0)
-    return float(out[0]) if scalar else out
+    return values.max(axis=0)
 
 
 def _directions(theta, phi) -> np.ndarray:
@@ -121,8 +90,7 @@ def _margin(q, theta, phi) -> np.ndarray:
     """``h(|rho|) - <rho, q>`` at the directions rho of (theta, phi); outside the
     octant, no smaller than the margin of the reflected direction, as q >= 0."""
     rho = _directions(theta, phi)
-    h = hL_support(np.abs(rho).reshape(-1, 3)).reshape(rho.shape[:-1])
-    return h - (rho * q).sum(axis=-1)
+    return hL_support(np.abs(rho)) - (rho * q).sum(axis=-1)
 
 
 def _polish(q, theta, phi, step: float) -> np.ndarray:
@@ -153,13 +121,13 @@ def _polish(q, theta, phi, step: float) -> np.ndarray:
 def membership_check(q, grid: int = 128):
     """Certify ``<q, rho> <= h(rho) + 1e-9`` over unit octant directions.
 
-    ``q`` is one point (3,) or a stack (k, 3).  One scan evaluates ``h`` on
+    ``q`` holds points (..., 3).  One scan evaluates ``h`` on
     a grid of ``grid**2`` directions (``grid >= 2`` points per angle) and
     the margins ``h(rho) - <q, rho>`` of every point there; then a stacked
     compass search (:func:`_polish`) polishes the 12 worst cells of every
     point together, starting at the grid spacing.  This is a search, not
-    a proof.  Returns ``(certified, worst_margin)``, a bool and a float for
-    one point and arrays for a stack; a negative margin beyond the
+    a proof.  Returns ``(certified, worst_margin)``, arrays shaped like the
+    leading axes of ``q`` (0-d for one point); a negative margin beyond the
     tolerance means the point lies outside the body.
     """
     q = np.asarray(q, dtype=float)
@@ -176,10 +144,8 @@ def membership_check(q, grid: int = 128):
     polished = _polish(np.repeat(points, cells.shape[1], axis=0), theta[cells].ravel(),
                        phi[cells].ravel(), angles[1])
     worst = np.minimum(margins.min(axis=1), polished.reshape(cells.shape).min(axis=1))
-    certified = worst >= -MEMBERSHIP_TOL
-    if q.ndim == 1:
-        return bool(certified[0]), float(worst[0])
-    return certified, worst
+    worst = worst.reshape(q.shape[:-1])
+    return worst >= -MEMBERSHIP_TOL, worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,15 +171,11 @@ class Polytope3:
         worst = float((hull.equations[:, :3] @ points.T + hull.equations[:, 3:]).max())
         if worst > 1e-12:
             raise ValueError(f"hull misses a generator by {worst:.3e}")
-        tets = []
-        for simplex in hull.simplices:
-            tri = points[simplex]
-            signed = np.linalg.det(tri - apex) / 6.0
-            if signed < 0:
-                tri = tri[[1, 0, 2]]
-                signed = -signed
-            tets.append(np.vstack([apex, tri]))
-        tets = np.array(tets)
+        # swap two corners of each facet whose tetrahedron with the apex is negatively oriented
+        tris = points[hull.simplices]
+        flip = np.linalg.det(tris - apex) < 0
+        tris[flip] = tris[flip][:, [1, 0, 2]]
+        tets = np.concatenate([np.broadcast_to(apex, (len(tris), 1, 3)), tris], axis=1)
         vols = np.abs(np.linalg.det(tets[:, 1:] - tets[:, :1])) / 6.0
         total = float(vols.sum())
         if abs(total - hull.volume) > 1e-12 * max(hull.volume, 1.0):
@@ -285,23 +247,7 @@ class ZonoidBoundReport:
     bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "memberships": [
-                {"name": m["name"], "point": list(m["point"]),
-                 "certified": bool(m["certified"]), "margin": float(m["margin"])}
-                for m in self.memberships
-            ],
-            "membership_ok": self.membership_ok,
-            "integral_literal": self.integral_literal,
-            "integral_symmetrized": self.integral_symmetrized,
-            "integral_used": self.integral_used,
-            "factor_count_from_volume": self.factor_count_from_volume,
-            "factor_fibers": self.factor_fibers,
-            "factor_scaling": self.factor_scaling,
-            "vol_k_lower": self.vol_k_lower,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def membership_points(lambdas=LAMBDAS):
@@ -331,7 +277,8 @@ def zonoid_lower_bound(grid: int = 128, lambdas=LAMBDAS) -> ZonoidBoundReport:
     """
     names, points = zip(*membership_points(lambdas))
     certified, margins = membership_check(np.array(points), grid=grid)
-    memberships = [{"name": name, "point": point, "certified": bool(ok), "margin": float(margin)}
+    memberships = [{"name": name, "point": point.tolist(), "certified": bool(ok),
+                    "margin": float(margin)}
                    for name, point, ok, margin in zip(names, points, certified, margins)]
     ok = bool(certified.all())
 

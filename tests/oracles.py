@@ -1,8 +1,8 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here deliberately avoids the library code paths it is used to
-check: quadrature instead of the AGM, quaternions instead of QR sampling,
-direct polynomial evaluation instead of coefficient assembly, the
+check: quadrature instead of scipy's ``ellipe``, quaternions instead of QR
+sampling, direct polynomial evaluation instead of coefficient assembly, the
 closed-form monomial integral over a simplex, and a generic per-curve
 finite difference instead of the stacked normal Jacobians.
 """

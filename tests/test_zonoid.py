@@ -59,10 +59,10 @@ class TestEllipticE:
         values = zn.elliptic_E(ms)
         with mpmath.workdps(40):
             for m, value in zip(ms, values):
-                assert abs(value - float(mpmath.ellipe(mpmath.mpf(float(m))))) <= 1e-13
+                exact = float(mpmath.ellipe(mpmath.mpf(float(m))))
+                assert abs(value - exact) <= 2.0 * np.spacing(exact)
 
     def test_each_value_stops_on_its_own(self):
-        # 0.94211311 settles a and b one ulp apart, where a test at 1e-16 a never passes
         ms = np.array([0.3, 0.5, 0.9, 0.94211311, 1.0 - 1e-16])
         assert zn.elliptic_E(ms).tolist() == [zn.elliptic_E(m) for m in ms]
 
@@ -77,9 +77,10 @@ class TestFBound:
         assert zn.F_bound(1.0, 1.0) == pytest.approx(oracle, abs=1e-12)
         assert zn.F_bound(1.0, 1.0) == pytest.approx(0.3870669617321277, abs=1e-12)
 
-    def test_origin_rejected(self):
-        with pytest.raises(DomainError):
-            zn.F_bound(0.0, 0.0)
+    def test_origin_takes_the_limit_zero(self):
+        assert zn.F_bound(0.0, 0.0) == 0.0
+        got = zn.F_bound([0.0, 1.0, 0.0], [0.0, 1.0, 3.0])
+        assert got.tolist() == [0.0, zn.F_bound(1.0, 1.0), zn.F_bound(0.0, 3.0)]
 
 
 class TestSupportFunctionLowerBound:
@@ -149,21 +150,34 @@ class TestStackedSearch:
         for point, ok, margin in zip(points, certified, margins):
             assert zn.membership_check(point, grid=40) == (ok, margin)
 
+    def test_results_take_the_leading_axes_of_the_input(self, points):
+        flat = np.concatenate([points[[3, 8]], [[0.0, 0.0, 2.0], [0.3, 0.1, 0.2]]])
+        stack = flat.reshape(2, 2, 3)
+        h = zn.hL_support(stack)
+        certified, margins = zn.membership_check(stack, grid=40)
+        assert h.shape == certified.shape == margins.shape == (2, 2)
+        flat_ok, flat_margins = zn.membership_check(flat, grid=40)
+        assert h.ravel().tolist() == zn.hL_support(flat).tolist()
+        assert certified.ravel().tolist() == flat_ok.tolist()
+        assert margins.ravel().tolist() == flat_margins.tolist()
+        one = zn.membership_check(flat[0], grid=40)
+        assert zn.hL_support(flat[0]).shape == one[0].shape == one[1].shape == ()
+
 
 def test_importing_the_program_leaves_unused_libraries_out():
     # scipy takes ~0.4 s to import, which every command paid at start-up; only the
-    # zonoid hull needs it, only a worker pool needs multiprocessing, only --entropy secrets
+    # zonoid route needs it, only a worker pool needs multiprocessing, only --entropy secrets
     code = ("import sys\n"
             "from essential_lab import (cli, distributions, geometry, montecarlo, solver,\n"
             "                           verify, zonoid)\n"
             "print(sorted(name for name in sys.modules\n"
             "             if name.partition('.')[0] in ('scipy', 'multiprocessing', 'secrets')))\n"
-            "print(zonoid.build_polytope_P().volume > 0)\n")
+            "print(zonoid.elliptic_E(0.5) > 1.35, zonoid.build_polytope_P().volume > 0)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(zn.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    assert out.stdout.split("\n")[:2] == ["[]", "True True"]
 
 
 class TestPolytope:
