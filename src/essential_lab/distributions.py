@@ -13,7 +13,9 @@ The base quadric u^T E0 v = 0 lives here too: ``quadric_draw``,
 ``quadric_param`` and ``quadric_z_in_place`` give its parameters,
 correspondences and z-vectors.  The z-vectors make the determinant
 ensemble, whose average reproduces the correspondence average; the verify
-suite checks the quadric's identities with all three.
+suite checks the quadric's identities with all three.  ``z_slices`` draws
+z-vectors a slice of whole matrices at a time, so that the ensemble never
+holds a stack of its matrices.
 
 Every sampler draws from explicit ``numpy.random.Generator`` objects.  For
 scheduling-independent parallel runs, derive one generator per sample
@@ -239,7 +241,8 @@ def sample_box(rngs, boxes):
                   redraw=False)
 
 
-_Z_SLICE = 65_536    # z-vectors mapped at a time, so the map's temporaries stay small
+DET_BLOCK = 8192         # matrices per slice of the z-vector draw, and per block of abs_det5
+_Z_SLICE = 5 * DET_BLOCK    # z-vectors mapped at a time: whole matrices, small temporaries
 
 
 def quadric_z_in_place(p: np.ndarray) -> np.ndarray:
@@ -266,23 +269,51 @@ def quadric_z_in_place(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _z_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n z-vectors (n, 5): a, b, r, s drawn as four rows of n normals, then n thetas.
+def z_slices(rng: np.random.Generator, n: int):
+    """Draw n z-vectors and yield them in order, as slices (k, 5) of ``_Z_SLICE`` or fewer.
 
-    The parameters (5, n) are overwritten by their z-vectors in place; the
-    result is the transposed view of that one array.
+    a, b, r, s are drawn first, as four arrays of n normals; then, one
+    slice at a time, the slice's thetas, uniform on [0, 2 pi).  Each slice
+    is copied into one buffer (5, k) and mapped there by
+    :func:`quadric_z_in_place`, so besides the four arrays only that
+    buffer is held.  Every slice is a view of the same buffer, which the
+    next slice overwrites: copy a slice to keep it.
     """
-    p = np.empty((5, n))
-    rng.standard_normal(out=p[:4])
-    # random() scaled in place draws what uniform(0, 2 pi, n) draws, with no temporary
-    rng.random(out=p[4])
-    p[4] *= 2.0 * np.pi
-    return quadric_z_in_place(p).T
+    rows = [rng.standard_normal(n) for _ in range(4)]
+    buffer = np.empty((5, min(n, _Z_SLICE)))
+    for lo in range(0, n, _Z_SLICE):
+        z = buffer[:, :min(_Z_SLICE, n - lo)]
+        for out, row in zip(z, rows):
+            out[:] = row[lo:lo + z.shape[1]]
+        # random() scaled in place draws what uniform(0, 2 pi, k) draws, with no temporary
+        rng.random(out=z[4])
+        z[4] *= 2.0 * np.pi
+        yield quadric_z_in_place(z).T
+
+
+def _z_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n z-vectors (n, 5), gathered from the slices of :func:`z_slices`.
+
+    The result is the transposed view of one array (5, n), as each slice is.
+    """
+    z = np.empty((5, n)).T
+    for lo, part in zip(range(0, n, _Z_SLICE), z_slices(rng, n)):
+        z[lo:lo + len(part)] = part
+    return z
+
+
+def z_matrices(z: np.ndarray) -> np.ndarray:
+    """The matrices (k, 5, 5) whose columns are the z-vectors of z (5k, 5), five by five."""
+    return z.reshape(-1, 5, 5).transpose(0, 2, 1)
 
 
 def sample_z_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n matrices (n, 5, 5) with i.i.d. z-vector columns."""
-    return _z_batch(rng, 5 * n).reshape(n, 5, 5).transpose(0, 2, 1)
+    """n matrices (n, 5, 5) with i.i.d. z-vector columns.
+
+    The 5n z-vectors are drawn by :func:`z_slices` and gathered into one
+    array; the determinant route itself takes the slices one at a time.
+    """
+    return z_matrices(_z_batch(rng, 5 * n))
 
 
 def quadric_draw(rng: np.random.Generator, shape) -> np.ndarray:

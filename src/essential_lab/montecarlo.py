@@ -86,7 +86,7 @@ def mean_stderr(chunks):
     return means.tolist(), np.sqrt(variance / n).tolist()
 
 
-DET_BLOCK = 8192        # matrices per block of abs_det5
+DET_BLOCK = dists.DET_BLOCK     # matrices per block of abs_det5: one slice of the z-vector draw
 _PAIRS = tuple((j, k) for j in range(5) for k in range(j + 1, 5))
 
 
@@ -252,7 +252,11 @@ def estimate_abs_det(n: int, seed: int) -> DetEstimate:
 
     Returns the mean of ``|det|`` and of ``det^2`` over chunks of
     ``DET_CHUNK`` draws, chunk i from ``rng_for(seed, i)``, together with
-    the derived mean solution count ``pi^3/4 * mean(|det|)``.
+    the derived mean solution count ``pi^3/4 * mean(|det|)``.  A chunk
+    draws what ``sample_z_matrices`` draws, but takes the |det| of each
+    slice of ``DET_BLOCK`` matrices as the draw yields it
+    (``distributions.z_slices``), so no stack of the chunk's matrices is
+    built.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -260,8 +264,8 @@ def estimate_abs_det(n: int, seed: int) -> DetEstimate:
 
     def chunks():
         for index, start in enumerate(range(0, n, DET_CHUNK)):
-            rng = dists.rng_for(seed, index)
-            dets = abs_det5(dists.sample_z_matrices(rng, min(DET_CHUNK, n - start)))
+            z = dists.z_slices(dists.rng_for(seed, index), 5 * min(DET_CHUNK, n - start))
+            dets = np.concatenate([abs_det5(dists.z_matrices(part)) for part in z])
             yield np.stack([dets, dets * dets], axis=1)
 
     (mean, second), (se_mean, se_second) = mean_stderr(chunks())

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library code paths it is used to
 check: quadrature instead of scipy's ``ellipe``, quaternions instead of QR
 sampling, direct polynomial evaluation instead of coefficient assembly, the
-closed-form monomial integral over a simplex, and a generic per-curve
-finite difference instead of the stacked normal Jacobians.
+closed-form monomial integral over a simplex, a generic per-curve
+finite difference instead of the stacked normal Jacobians, and z-vectors
+drawn in one piece with their formula written out instead of the sliced
+draw.
 """
 
 import warnings
@@ -165,3 +167,33 @@ def support_estimate(x, n: int, z_chunk) -> SupportEstimate:
     values = np.concatenate([0.5 * np.abs(z_chunk(i, min(500_000, n - start)) @ x)
                              for i, start in enumerate(range(0, n, 500_000))])
     return SupportEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)), n)
+
+
+def z_vectors_at_once(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n z-vectors (n, 5) drawn in one piece: 4n normals as rows a, b, r, s, then n thetas.
+
+    Each theta is a uniform draw in [0, 1) times 2 pi, and the z-vector is
+    (b r sin, b r cos, a s sin, a s cos, r s), products taken left to right.
+    """
+    a, b, r, s = rng.standard_normal((4, n))
+    theta = rng.random(n) * (2.0 * np.pi)
+    sin, cos = np.sin(theta), np.cos(theta)
+    return np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=1)
+
+
+def det_route_at_once(n: int, seed: int, chunk: int, rng_for, abs_det, mean_stderr):
+    """The determinant route with each chunk's matrices built as one stack.
+
+    Chunk i holds ``min(chunk, n - i chunk)`` matrices from
+    ``rng_for(seed, i)``; matrix k has z-vectors 5k..5k+4 of
+    :func:`z_vectors_at_once` as its columns.  The |det| and det^2 of
+    every chunk go through ``mean_stderr``, whose result is returned.
+    """
+    def chunks():
+        for index, start in enumerate(range(0, n, chunk)):
+            m = min(chunk, n - start)
+            z = z_vectors_at_once(rng_for(seed, index), 5 * m)
+            dets = abs_det(z.reshape(m, 5, 5).transpose(0, 2, 1))
+            yield np.stack([dets, dets * dets], axis=1)
+
+    return mean_stderr(chunks())

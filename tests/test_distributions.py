@@ -9,7 +9,7 @@ from essential_lab import solver as sv
 from essential_lab.errors import RankDeficient
 from essential_lab.geometry import E0
 
-from oracles import quaternion_rotation_sample
+from oracles import quaternion_rotation_sample, z_vectors_at_once
 
 BOXES55 = [dist.BoxSpec(-5.0, 5.0, -5.0, 5.0)] * 10
 LOW = np.array([-1.0, 0.0, 2.0])
@@ -169,6 +169,19 @@ class TestZVector:
     def test_matrix_shape(self):
         mats = dist.sample_z_matrices(dist.rng_for(13, 0), 7)
         assert mats.shape == (7, 5, 5)
+
+    def test_slices_are_the_draw_in_one_piece(self):
+        m = 2 * dist.DET_BLOCK + 3
+        parts = [part.copy() for part in dist.z_slices(dist.rng_for(13, 3), 5 * m)]
+        assert [len(part) for part in parts] == [5 * dist.DET_BLOCK] * 2 + [15]
+        whole = z_vectors_at_once(dist.rng_for(13, 3), 5 * m)
+        assert np.array_equal(np.concatenate(parts), whole)
+        mats = dist.sample_z_matrices(dist.rng_for(13, 3), m)
+        assert np.array_equal(dist.z_matrices(np.concatenate(parts)), mats)
+        assert np.array_equal(mats[-1], whole[-5:].T)
+        # a count that is no multiple of five
+        assert np.array_equal(dist._z_batch(dist.rng_for(13, 4), 7),
+                              z_vectors_at_once(dist.rng_for(13, 4), 7))
 
     def test_z_vectors_of_the_quadric_correspondences(self):
         p = dist.quadric_draw(dist.rng_for(13, 1), (400, 5))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from essential_lab import distributions as dists
 from essential_lab import montecarlo as mc
 from essential_lab.errors import CrossCheckFailed
+
+from oracles import det_route_at_once
 
 BOXES55 = [(-5.0, 5.0, -5.0, 5.0)] * 10
 
@@ -188,6 +191,28 @@ class TestDetEstimator:
         b = mc.estimate_abs_det(10 ** 5, seed=3)
         assert a.mean_abs_det == b.mean_abs_det
         assert a.second_moment == b.second_moment
+
+    # one matrix, one partial slice, a slice boundary, a chunk boundary
+    @pytest.mark.parametrize("n", [1, 7, 40_961, 250_001])
+    def test_slices_give_the_bits_of_whole_chunks(self, n):
+        est = mc.estimate_abs_det(n, seed=4)
+        (mean, second), (se_mean, se_second) = det_route_at_once(
+            n, 4, mc.DET_CHUNK, dists.rng_for, mc.abs_det5, mc.mean_stderr)
+        got = est.to_dict()
+        got.pop("wall_time")
+        assert got == {"n": n, "seed": 4, "mean_abs_det": mean, "second_moment": second,
+                       "derived_mean": mc.DET_TO_COUNT * mean, "se_mean": se_mean,
+                       "se_second": se_second}
+
+    def test_a_chunk_builds_no_stack_of_its_matrices(self):
+        # the chunk's 4 x 1.25M normals are 38 MiB; its (250k, 5, 5) stack would add 48 MiB
+        tracemalloc.start()
+        try:
+            mc.estimate_abs_det(250_000, 0)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < 50.0
 
 
 class TestCrossCheck:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,16 @@ class TestStackedPoseMapJacobian:
         long[11] *= 1.0 + 1e-9
         with pytest.raises(DegenerateInput):
             vf.nj_pose_map(r, long)
+
+    def test_volume_check_maps_poses_in_blocks(self):
+        # one nj_pose_map call on all 10k poses peaks near 50 MiB
+        tracemalloc.start()
+        try:
+            vf.mc_volume_essential(10_000, 0)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < 16.0
 
     def test_volume_needs_a_sample(self):
         with pytest.raises(ValueError):

@@ -200,7 +200,8 @@ class TestPolytope:
 
     def test_tetrahedra_fill_volume(self):
         poly = zn.build_polytope_P()
-        vols = np.abs(np.linalg.det(poly.tetrahedra[:, 1:] - poly.tetrahedra[:, :1])) / 6.0
+        # signed: every tetrahedron is oriented positively, with no absolute value taken
+        vols = np.linalg.det(poly.tetrahedra[:, 1:] - poly.tetrahedra[:, :1]) / 6.0
         assert np.all(vols >= 0.0)
         assert vols.sum() == pytest.approx(poly.volume, rel=1e-12)
 
