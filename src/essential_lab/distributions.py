@@ -9,11 +9,12 @@ Three distributions of codimension-5 linear spaces are provided:
 * ``sample_box`` -- correspondences drawn uniformly from pixel boxes in
   the affine chart, the distribution used for camera-like experiments.
 
-The base quadric u^T E0 v = 0 lives here too: ``quadric_draw``,
-``quadric_param`` and ``quadric_z_in_place`` give its parameters,
-correspondences and z-vectors.  The z-vectors make the determinant
-ensemble, whose average reproduces the correspondence average; the verify
-suite checks the quadric's identities with all three.  ``z_slices`` draws
+The base quadric u^T E0 v = 0 lives here too: ``quadric_draw`` and
+``quadric_z_in_place`` give its parameters (a, b, r, s, theta), which
+stand for the correspondence u = (a, r cos, r sin), v = (b, s cos, s sin),
+and their z-vectors.  The z-vectors make the determinant ensemble, whose
+average reproduces the correspondence average; the verify suite checks
+the quadric's identities with both.  ``z_slices`` draws
 z-vectors a slice of whole matrices at a time, so that the ensemble never
 holds a stack of its matrices.
 
@@ -250,10 +251,10 @@ def quadric_z_in_place(p: np.ndarray) -> np.ndarray:
 
     Rows a, b, r, s, theta become (b r sin, b r cos, a s sin, a s cos, r s),
     i.e. (v0 u2, v0 u1, u0 v2, u0 v1, u1 v1 + u2 v2) of the correspondence
-    (u, v) that :func:`quadric_param` gives for the same parameters.  p may
-    be a strided view, such as ``np.moveaxis(q, -1, 0)`` of parameters q
-    (..., 5); it is mapped ``_Z_SLICE`` entries of axis 1 at a time, so the
-    only temporaries are the sines and cosines of one slice.
+    u = (a, r cos, r sin), v = (b, s cos, s sin) of the same parameters.
+    p may be a strided view, such as ``np.moveaxis(q, -1, 0)`` of
+    parameters q (..., 5); it is mapped ``_Z_SLICE`` entries of axis 1 at
+    a time, so the only temporaries are the sines and cosines of one slice.
     """
     for lo in range(0, p.shape[1], _Z_SLICE):
         a, b, r, s, theta = p[:, lo:lo + _Z_SLICE]
@@ -325,17 +326,3 @@ def quadric_draw(rng: np.random.Generator, shape) -> np.ndarray:
     base = rng.standard_normal((*shape, 4))
     theta = rng.uniform(0.0, 2.0 * np.pi, shape)
     return np.concatenate([base, theta[..., None]], axis=-1)
-
-
-def quadric_param(a5: np.ndarray) -> np.ndarray:
-    """Map (a, b, r, s, theta) per point to correspondence vectors.
-
-    Input shape (..., 5, 5) (one row per correspondence); output
-    (..., 5, 2, 3) with u = (a, r cos, r sin) and v = (b, s cos, s sin),
-    which satisfy u^T E0 v = 0 by construction.
-    """
-    a, b, r, s, theta = np.moveaxis(np.asarray(a5, dtype=float), -1, 0)
-    cos, sin = np.cos(theta), np.sin(theta)
-    u = np.stack([a, r * cos, r * sin], axis=-1)
-    v = np.stack([b, s * cos, s * sin], axis=-1)
-    return np.stack([u, v], axis=-2)

@@ -1,10 +1,13 @@
-"""Numerical certification of the differential-geometric constants.
+"""Certification of the differential-geometric constants.
 
-Finite-difference normal Jacobians of the pose map (constant 1/4), of the
-two-sided rotation action (1/(2 sqrt 2)), and of the quadric
-parametrization (sqrt(r^2 + s^2)); the block determinant identity of the
-incidence Jacobian; and a Monte Carlo computation of the variety volume
-(4 pi^3 for the unit-sphere variety, ratio 4 against projective 5-space).
+Normal Jacobians of the pose map (constant 1/4), of the two-sided
+rotation action (1/(2 sqrt 2)), and of the quadric parametrization
+(sqrt(r^2 + s^2)), each taken from the closed-form tangents of its input
+directions, so that a check deviates from its constant by rounding alone;
+the block determinant identity of the incidence Jacobian; and a Monte
+Carlo computation of the variety volume (4 pi^3 for the unit-sphere
+variety, ratio 4 against projective 5-space), exact to rounding because
+the pose-map Jacobian is constant.
 
 All matrix frames are orthonormal for the half-trace inner product; the
 printed constants depend on that convention.
@@ -22,20 +25,13 @@ from .errors import DegenerateInput
 from .geometry import E0, cross_matrix, so3_basis, tangent_basis_E0
 from .montecarlo import abs_det5, mean_stderr
 
-DEFAULT_STEP = 1e-5
-
 VOL_SO3 = 8.0 * math.pi ** 2
 VOL_S2 = 4.0 * math.pi
 VOL_RP5 = math.pi ** 3 / 2.0
 
 VOLUME_BLOCK = 1024      # poses per nj_pose_map call of the volume check
-
-
-def _steps(h: float) -> np.ndarray:
-    """The central-difference steps (h, -h), for h in [1e-7, 1e-4]."""
-    if not 1e-7 <= h <= 1e-4:
-        raise ValueError("step size must lie in [1e-7, 1e-4]")
-    return np.array([h, -h])
+#: Largest deviation a normal-Jacobian or volume check allows: rounding, not truncation.
+EXACT_TOL = 1e-12
 
 
 def _gram_root(jac: np.ndarray) -> np.ndarray:
@@ -44,32 +40,17 @@ def _gram_root(jac: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
 
 
-def _tangent_gram_root(points: np.ndarray, u: np.ndarray, v: np.ndarray,
-                       h: float) -> np.ndarray:
-    """Normal Jacobians of curves into the variety, from their points at steps (h, -h).
+def _tangent_gram_root(tangents: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Normal Jacobians from the images (N, k, 3, 3) of the k input directions of each sample.
 
-    ``points`` (N, k, 2, 3, 3) holds each of the k input curves of sample
-    i at both steps.  Entries are half-trace inner products of the central
-    differences with the tangent basis carried to U_i E0 V_i^T, and each
-    value is ``sqrt(det J J^T)`` of the 5 x k Jacobian.
+    Entries are half-trace inner products of the tangents with the
+    tangent basis carried to U_i E0 V_i^T, and each value is
+    ``sqrt(det J J^T)`` of the 5 x k Jacobian.
     """
-    diffs = (points[:, :, 0] - points[:, :, 1]) / (2.0 * h)
     frames = u[:, None] @ tangent_basis_E0() @ np.swapaxes(v, 1, 2)[:, None]
     # summing the nine products per entry rounds as the one-sample sum does
-    products = (frames[:, :, None] * diffs[:, None]).reshape(-1, 5, points.shape[1], 9)
+    products = (frames[:, :, None] * tangents[:, None]).reshape(-1, 5, tangents.shape[1], 9)
     return _gram_root(0.5 * np.sum(products, axis=3))
-
-
-def _rodrigues(f: np.ndarray, s) -> np.ndarray:
-    """Rotations exp(s F) for skew matrices F (..., 3, 3) of unit half-trace norm.
-
-    ``s`` broadcasts against the stack shape ``f.shape[:-2]``.
-    """
-    axis = np.stack([f[..., 2, 1], f[..., 0, 2], f[..., 1, 0]], axis=-1)
-    norm = np.linalg.norm(axis, axis=-1)
-    k = cross_matrix(axis / np.where(norm > 0.0, norm, 1.0)[..., None])
-    angle = (s * norm)[..., None, None]
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def _witnesses(r: np.ndarray, t: np.ndarray):
@@ -85,19 +66,17 @@ def _witnesses(r: np.ndarray, t: np.ndarray):
     return u, v
 
 
-def nj_pose_map(r, t, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Finite-difference normal Jacobians of ``(R, t) -> [t]_x R`` at a stack of poses.
+def nj_pose_map(r, t) -> np.ndarray:
+    """Normal Jacobians of ``(R, t) -> [t]_x R`` at a stack of poses.
 
     ``r`` has shape (N, 3, 3) and ``t`` shape (N, 3); returns N values.
     Frames: the left-translated skew basis on the rotation factor and a
     tangent frame of the sphere at t (inputs); the rotated tangent basis
-    of the variety at the image (outputs).  Jacobian entries are
-    half-trace inner products of central differences with the output
-    frame, and each value is ``sqrt(det J J^T)``.  Raises
-    :class:`DegenerateInput` if any pose is not a rotation and a unit
-    vector to 1e-12.
+    of the variety at the image (outputs).  The input directions map to
+    the tangents ``[t]_x U F U^T R`` and ``[u_j]_x R``, and each value is
+    ``sqrt(det J J^T)``.  Raises :class:`DegenerateInput` if any pose is
+    not a rotation and a unit vector to 1e-12.
     """
-    steps = _steps(h)
     r = np.asarray(r, dtype=float).reshape(-1, 3, 3)
     t = np.asarray(t, dtype=float).reshape(-1, 3)
     if len(r) != len(t):
@@ -109,15 +88,12 @@ def nj_pose_map(r, t, h: float = DEFAULT_STEP) -> np.ndarray:
         raise DegenerateInput("translation must be a unit vector")
 
     u, v = _witnesses(r, t)
-    # rotation curves exp(s U F U^T) R, one per skew basis element F
-    dirs = u[:, None] @ so3_basis() @ np.swapaxes(u, 1, 2)[:, None]
-    rots = _rodrigues(dirs[:, :, None], steps) @ r[:, None, None]
-    on_rot = cross_matrix(t)[:, None, None] @ rots
-    # great circles cos(s) t + sin(s) u_j through t, j = 1, 2
-    circles = (np.cos(steps)[:, None] * t[:, None, None]
-               + np.sin(steps)[:, None] * np.swapaxes(u[:, :, 1:], 1, 2)[:, :, None])
-    on_sphere = cross_matrix(circles) @ r[:, None, None]
-    return _tangent_gram_root(np.concatenate([on_rot, on_sphere], axis=1), u, v, h)
+    # rotation directions U F U^T R, one per skew basis element F
+    dirs = u[:, None] @ so3_basis() @ np.swapaxes(u, 1, 2)[:, None] @ r[:, None]
+    on_rot = cross_matrix(t)[:, None] @ dirs
+    # sphere directions u_j, j = 1, 2: the velocities of great circles through t
+    on_sphere = cross_matrix(np.swapaxes(u[:, :, 1:], 1, 2)) @ r[:, None]
+    return _tangent_gram_root(np.concatenate([on_rot, on_sphere], axis=1), u, v)
 
 
 def sample_poses(seed: int, n: int):
@@ -147,8 +123,7 @@ class CheckReport:
         return asdict(self)
 
 
-def verify_nj_E(samples: int = 100, seed: int = 0, h: float = DEFAULT_STEP,
-                tol: float = 1e-6) -> CheckReport:
+def verify_nj_E(samples: int = 100, seed: int = 0, tol: float = EXACT_TOL) -> CheckReport:
     """The pose-map normal Jacobian equals 1/4 at every sampled point.
 
     The report's value is the one at the reference pose (I, e1), which
@@ -156,32 +131,28 @@ def verify_nj_E(samples: int = 100, seed: int = 0, h: float = DEFAULT_STEP,
     """
     r, t = sample_poses(seed, samples)
     nj = nj_pose_map(np.concatenate([np.eye(3)[None], r]),
-                     np.concatenate([np.eye(3)[:1], t]), h=h)
+                     np.concatenate([np.eye(3)[:1], t]))
     worst = float(np.max(np.abs(nj - 0.25)))
     return CheckReport("nj_pose_map", worst <= tol, float(nj[0]), 0.25, worst, samples + 1)
 
 
-def nj_rotation_action(u, v, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Finite-difference normal Jacobians of ``(U, V) -> U E0 V^T`` at a stack of pairs.
+def nj_rotation_action(u, v) -> np.ndarray:
+    """Normal Jacobians of ``(U, V) -> U E0 V^T`` at a stack of pairs.
 
     ``u`` and ``v`` have shape (N, 3, 3); returns N values.  Inputs: the
-    curves V exp(s F), then U exp(s F), for the skew basis elements F;
-    outputs: the tangent basis of the variety carried to U E0 V^T.
-    Entries are half-trace inner products, and each value is
-    ``sqrt(det J J^T)``.
+    curves V exp(s F), then U exp(s F), for the skew basis elements F,
+    with tangents ``-U E0 F V^T`` and ``U F E0 V^T``; outputs: the
+    tangent basis of the variety carried to U E0 V^T.  Entries are
+    half-trace inner products, and each value is ``sqrt(det J J^T)``.
     """
-    steps = _steps(h)
     u = np.asarray(u, dtype=float).reshape(-1, 3, 3)
     v = np.asarray(v, dtype=float).reshape(-1, 3, 3)
-    rots = _rodrigues(so3_basis()[:, None], steps)[None]         # (1, 3, 2, 3, 3)
-    ue, vt = (u @ E0)[:, None, None], np.swapaxes(v, 1, 2)[:, None, None]
-    on_v = ue @ np.swapaxes(v[:, None, None] @ rots, 3, 4)
-    on_u = (u[:, None, None] @ rots) @ E0 @ vt
-    return _tangent_gram_root(np.concatenate([on_v, on_u], axis=1), u, v, h)
+    f = so3_basis()
+    tangents = u[:, None] @ np.concatenate([-E0 @ f, f @ E0]) @ np.swapaxes(v, 1, 2)[:, None]
+    return _tangent_gram_root(tangents, u, v)
 
 
-def verify_nj_gamma(seed: int = 0, h: float = DEFAULT_STEP, tol: float = 1e-5,
-                    samples: int = 10) -> CheckReport:
+def verify_nj_gamma(seed: int = 0, tol: float = EXACT_TOL, samples: int = 10) -> CheckReport:
     """The two-sided action has normal Jacobian 1/sqrt(8), everywhere.
 
     The report's value is the one at (I, I), checked together with
@@ -191,24 +162,31 @@ def verify_nj_gamma(seed: int = 0, h: float = DEFAULT_STEP, tol: float = 1e-5,
     gauss = dists.Streams(seed, 0, samples).fill(dists._normals, np.empty((samples, 2, 3, 3)))
     pairs = np.concatenate([np.broadcast_to(np.eye(3), (1, 2, 3, 3)),
                             dists.haar_rotations(gauss.reshape(-1, 3, 3)).reshape(-1, 2, 3, 3)])
-    nj = nj_rotation_action(pairs[:, 0], pairs[:, 1], h=h)
+    nj = nj_rotation_action(pairs[:, 0], pairs[:, 1])
     worst = float(np.max(np.abs(nj - expected)))
     return CheckReport("nj_rotation_action", worst <= tol, float(nj[0]), expected, worst,
                        samples + 1)
 
 
-def nj_quadric_param(p, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Finite-difference normal Jacobians of :func:`~essential_lab.distributions.quadric_param`.
+def nj_quadric_param(p) -> np.ndarray:
+    """Normal Jacobians of the quadric parametrization at a stack of points.
 
-    ``p`` holds parameters (a, b, r, s, theta) in a stack (N, 5); returns
-    N values ``sqrt(det J^T J)`` of the 6x5 Jacobians into the u and v
+    The parametrization maps (a, b, r, s, theta) to the correspondence
+    u = (a, r cos, r sin), v = (b, s cos, s sin) on the base quadric
+    u^T E0 v = 0.  ``p`` holds parameters in a stack (N, 5); returns N
+    values ``sqrt(det J^T J)`` of the 6x5 Jacobians into the u and v
     coordinates.
     """
-    steps = _steps(h)
     p = np.asarray(p, dtype=float).reshape(-1, 5)
-    points = dists.quadric_param(p[:, None, None] + steps[:, None, None] * np.eye(5))
-    diffs = (points[:, 0] - points[:, 1]) / (2.0 * h)            # (N, 5, 2, 3)
-    return _gram_root(diffs.reshape(-1, 5, 6))                    # J^T, 5 x 6 each
+    _, _, r, s, theta = p.T
+    w = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    dw = np.stack([-w[:, 1], w[:, 0]], axis=1)
+    jac = np.zeros((len(p), 5, 2, 3))           # J^T: row per parameter, u then v
+    jac[:, 0, 0, 0] = jac[:, 1, 1, 0] = 1.0
+    jac[:, 2, 0, 1:] = jac[:, 3, 1, 1:] = w
+    jac[:, 4, 0, 1:] = r[:, None] * dw
+    jac[:, 4, 1, 1:] = s[:, None] * dw
+    return _gram_root(jac.reshape(-1, 5, 6))
 
 
 def _quadric_point(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -216,8 +194,8 @@ def _quadric_point(rng: np.random.Generator, out: np.ndarray) -> None:
     out[4] = rng.uniform(0.0, 2.0 * math.pi)
 
 
-def verify_quadric_param_nj(samples: int = 50, seed: int = 0, h: float = DEFAULT_STEP,
-                            tol: float = 1e-6) -> CheckReport:
+def verify_quadric_param_nj(samples: int = 50, seed: int = 0,
+                            tol: float = EXACT_TOL) -> CheckReport:
     """The quadric parametrization scales volume by sqrt(r^2 + s^2).
 
     Point i draws a, b, r, s standard normal and theta uniform from
@@ -226,28 +204,27 @@ def verify_quadric_param_nj(samples: int = 50, seed: int = 0, h: float = DEFAULT
     """
     p = dists.Streams(seed, 0, samples).fill(_quadric_point, np.empty((samples, 5)))
     expected = np.hypot(p[:, 2], p[:, 3])
-    got = nj_quadric_param(p, h=h)
+    got = nj_quadric_param(p)
     worst = float(np.max(np.abs(got - expected)))
     return CheckReport("nj_quadric_param", worst <= tol, float(got[0]), float(expected[0]),
                        worst, samples)
 
 
-def mc_volume_essential(n: int = 10_000, seed: int = 0,
-                        h: float = DEFAULT_STEP) -> tuple[float, float]:
+def mc_volume_essential(n: int = 10_000, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo volume of the unit-sphere essential variety.
 
     Averages the pose-map normal Jacobian over Haar-random poses and
     multiplies by half the product of the rotation-group and sphere
     volumes (the map is 2:1).  The Jacobian is constant, so the estimate
-    is essentially exact: 4 pi^3.  The poses are drawn at once and mapped
-    ``VOLUME_BLOCK`` at a time, so the finite-difference temporaries are
-    those of one block; a pose's value does not depend on its block.
+    is exact to rounding: 4 pi^3.  The poses are drawn at once and mapped
+    ``VOLUME_BLOCK`` at a time, so the Jacobian temporaries are those of
+    one block; a pose's value does not depend on its block.
     Returns the pair (volume, max |NJ - 1/4| over the samples).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     r, t = sample_poses(seed, n)
-    nj = np.concatenate([nj_pose_map(r[lo:lo + VOLUME_BLOCK], t[lo:lo + VOLUME_BLOCK], h=h)
+    nj = np.concatenate([nj_pose_map(r[lo:lo + VOLUME_BLOCK], t[lo:lo + VOLUME_BLOCK])
                          for lo in range(0, n, VOLUME_BLOCK)])
     volume = 0.5 * VOL_SO3 * VOL_S2 * float(np.mean(nj))
     return volume, float(np.max(np.abs(nj - 0.25)))
@@ -331,7 +308,8 @@ def run_suite(suite: str = "all", seed: int = 0, nj_samples: int = 100,
         ratio = (0.5 * vol_sphere) / VOL_RP5
         checks["volume_essential"] = {
             "name": "volume_essential",
-            "passed": abs(vol_sphere - expected) / expected <= 0.01 and abs(ratio - 4.0) <= 0.04,
+            "passed": (abs(vol_sphere - expected) <= EXACT_TOL * expected
+                       and abs(ratio - 4.0) <= 4.0 * EXACT_TOL),
             "value": vol_sphere, "expected": expected,
             "projective_ratio": ratio, "worst_deviation": worst,
             "samples": volume_samples,

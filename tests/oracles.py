@@ -4,9 +4,9 @@ Everything here deliberately avoids the library code paths it is used to
 check: quadrature instead of scipy's ``ellipe``, quaternions instead of QR
 sampling, direct polynomial evaluation instead of coefficient assembly, the
 closed-form monomial integral over a simplex, a generic per-curve
-finite difference instead of the stacked normal Jacobians, and z-vectors
-drawn in one piece with their formula written out instead of the sliced
-draw.
+complex-step derivative instead of the stacked closed-form normal
+Jacobians, the quadric correspondences written out, and z-vectors drawn in
+one piece with their formula written out instead of the sliced draw.
 """
 
 import warnings
@@ -121,26 +121,30 @@ def pose_map_volume_loop(n: int, seed: int, nj_at, rng_for) -> float:
     return 0.5 * (8.0 * np.pi ** 2) * (4.0 * np.pi) * total / n
 
 
-def finite_diff_normal_jacobian(fn, curves, frame_out, inner=None, h: float = 1e-5) -> float:
-    """Normal Jacobian of a map between manifolds by central differences.
+#: Step of the complex-step derivative: far below rounding, so no truncation is seen.
+COMPLEX_STEP = 1e-20
+
+
+def complex_step_normal_jacobian(fn, curves, frame_out, inner=None) -> float:
+    """Normal Jacobian of a map between manifolds by the complex step.
 
     ``curves[l]`` is a callable ``s -> domain point`` passing through the
-    base point with velocity equal to the l-th input frame vector;
-    ``frame_out`` lists orthonormal ambient vectors spanning (at least)
-    the tangent space of the target.  The Jacobian entry (k, l) is the
-    inner product of the central difference of ``fn`` along curve l with
+    base point at s = 0 with velocity equal to the l-th input frame
+    vector; ``frame_out`` lists orthonormal ambient vectors spanning (at
+    least) the tangent space of the target.  The derivative along curve l
+    is ``Im fn(curve(i h)) / h`` with h = 1e-20, which takes no difference
+    and so is exact to rounding, provided that the curve and ``fn`` are
+    written with operations analytic in s (no ``abs``, conjugate or
+    comparison).  The Jacobian entry (k, l) is its inner product with
     output frame k.  Returns the square root of the Gram determinant of
     the smaller side, i.e. ``sqrt(det J J^T)`` when the output frame is
     not larger than the input frame and ``sqrt(det J^T J)`` otherwise.
     """
-    if not 1e-7 <= h <= 1e-4:
-        raise ValueError("step size must lie in [1e-7, 1e-4]")
     if inner is None:
         inner = lambda a, b: float(np.sum(np.asarray(a) * np.asarray(b)))
     jac = np.empty((len(frame_out), len(curves)))
     for l, curve in enumerate(curves):
-        diff = (np.asarray(fn(curve(h)), dtype=float)
-                - np.asarray(fn(curve(-h)), dtype=float)) / (2.0 * h)
+        diff = np.imag(np.asarray(fn(curve(1j * COMPLEX_STEP)))) / COMPLEX_STEP
         for k, out in enumerate(frame_out):
             jac[k, l] = inner(diff, out)
     if jac.shape[0] <= jac.shape[1]:
@@ -148,6 +152,18 @@ def finite_diff_normal_jacobian(fn, curves, frame_out, inner=None, h: float = 1e
     else:
         gram = jac.T @ jac
     return float(np.sqrt(max(np.linalg.det(gram), 0.0)))
+
+
+def quadric_correspondences(p):
+    """Correspondences (..., 2, 3) on the base quadric of parameters (..., 5).
+
+    (a, b, r, s, theta) gives u = (a, r cos, r sin) and v = (b, s cos,
+    s sin); complex parameters pass through, for complex steps.
+    """
+    a, b, r, s, theta = np.moveaxis(np.asarray(p), -1, 0)
+    cos, sin = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([a, r * cos, r * sin], axis=-1),
+                     np.stack([b, s * cos, s * sin], axis=-1)], axis=-2)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from essential_lab import cli
+from essential_lab import verify as vf
 
 from oracles import planted_instance
 
@@ -192,9 +193,26 @@ class TestVerifyCommand:
         data = json.loads(out.read_text())
         assert data["passed"] is True
         checks = data["checks"]
-        assert checks["nj_pose_map"]["value"] == pytest.approx(0.25, abs=1e-6)
+        assert checks["nj_pose_map"]["value"] == pytest.approx(0.25, abs=1e-12)
         assert checks["nj_rotation_action"]["value"] == pytest.approx(0.3535533905932738,
-                                                                      abs=1e-5)
+                                                                      abs=1e-12)
+
+    def test_a_slightly_wrong_tangent_frame_fails(self, tmp_path, monkeypatch):
+        # one frame element 1e-9 too long moves both constants by ~3e-10: far above
+        # rounding, far below the truncation error of a finite difference
+        basis = vf.tangent_basis_E0()
+
+        def stretched():
+            out = basis.copy()
+            out[-1] *= 1.0 + 1e-9
+            return out
+
+        monkeypatch.setattr(vf, "tangent_basis_E0", stretched)
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--suite", "nj", "--out", str(out)]) == 3
+        checks = json.loads(out.read_text())["checks"]
+        assert not checks["nj_pose_map"]["passed"]
+        assert not checks["nj_rotation_action"]["passed"]
 
     def test_all_suite_is_strict_json(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -204,8 +222,8 @@ class TestVerifyCommand:
             raise ValueError(f"{constant} is not JSON")
 
         data = json.loads(out.read_text(), parse_constant=reject)
-        assert 0.0 < data["checks"]["volume_essential"]["worst_deviation"] <= 1e-6
-        for name, tol in (("det_AAT_identity", 1e-10), ("nj_quadric_param", 1e-6)):
+        assert 0.0 < data["checks"]["volume_essential"]["worst_deviation"] <= 1e-12
+        for name, tol in (("det_AAT_identity", 1e-10), ("nj_quadric_param", 1e-12)):
             check = data["checks"][name]
             assert abs(check["value"] - check["expected"]) <= tol * abs(check["expected"])
 

@@ -9,7 +9,7 @@ from essential_lab import solver as sv
 from essential_lab.errors import RankDeficient
 from essential_lab.geometry import E0
 
-from oracles import quaternion_rotation_sample, z_vectors_at_once
+from oracles import quadric_correspondences, quaternion_rotation_sample, z_vectors_at_once
 
 BOXES55 = [dist.BoxSpec(-5.0, 5.0, -5.0, 5.0)] * 10
 LOW = np.array([-1.0, 0.0, 2.0])
@@ -185,7 +185,7 @@ class TestZVector:
 
     def test_z_vectors_of_the_quadric_correspondences(self):
         p = dist.quadric_draw(dist.rng_for(13, 1), (400, 5))
-        pts = dist.quadric_param(p)
+        pts = quadric_correspondences(p)
         u, v = pts[..., 0, :], pts[..., 1, :]
         expected = np.stack([v[..., 0] * u[..., 2], v[..., 0] * u[..., 1],
                              u[..., 0] * v[..., 2], u[..., 0] * v[..., 1],
@@ -228,7 +228,7 @@ class TestBoxWeight:
     def test_quadric_points_satisfy_base_equation(self):
         rng = dist.rng_for(18, 0)
         a5 = rng.standard_normal((5, 5))
-        pts = dist.quadric_param(a5)
+        pts = quadric_correspondences(a5)
         for u, v in pts:
             assert abs(u @ E0 @ v) <= 1e-12
 
