@@ -9,14 +9,14 @@ Three distributions of codimension-5 linear spaces are provided:
 * ``sample_box`` -- correspondences drawn uniformly from pixel boxes in
   the affine chart, the distribution used for camera-like experiments.
 
-The base quadric u^T E0 v = 0 lives here too: ``quadric_draw`` and
-``quadric_z_in_place`` give its parameters (a, b, r, s, theta), which
-stand for the correspondence u = (a, r cos, r sin), v = (b, s cos, s sin),
-and their z-vectors.  The z-vectors make the determinant ensemble, whose
-average reproduces the correspondence average; the verify suite checks
-the quadric's identities with both.  ``z_slices`` draws
-z-vectors a slice of whole matrices at a time, so that the ensemble never
-holds a stack of its matrices.
+The base quadric u^T E0 v = 0 lives here too: ``quadric_z_in_place``
+maps its parameters (a, b, r, s, theta), which stand for the
+correspondence u = (a, r cos, r sin), v = (b, s cos, s sin), to their
+z-vectors.  The z-vectors make the determinant ensemble, whose average
+reproduces the correspondence average.  ``z_slices`` draws z-vectors a
+slice of whole matrices at a time, so that the ensemble never holds a
+stack of its matrices; the verify suite checks ``sample_z_matrices``,
+the same draw in one stack, matrix by matrix.
 
 Every sampler draws from explicit ``numpy.random.Generator`` objects.  For
 scheduling-independent parallel runs, derive one generator per sample
@@ -313,16 +313,7 @@ def sample_z_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
 
     The 5n z-vectors are drawn by :func:`z_slices` and gathered into one
     array; the determinant route itself takes the slices one at a time.
+    ``verify.verify_detB_identity`` checks this draw matrix by matrix.
     """
     return z_matrices(_z_batch(rng, 5 * n))
 
-
-def quadric_draw(rng: np.random.Generator, shape) -> np.ndarray:
-    """Quadric parameters (*shape, 5) of (a, b, r, s, theta).
-
-    Draws all a, b, r, s standard normal first (shape (*shape, 4)), then
-    every theta uniform on [0, 2 pi).
-    """
-    base = rng.standard_normal((*shape, 4))
-    theta = rng.uniform(0.0, 2.0 * np.pi, shape)
-    return np.concatenate([base, theta[..., None]], axis=-1)

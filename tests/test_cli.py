@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from essential_lab import cli
+from essential_lab import distributions as dists
 from essential_lab import verify as vf
 
 from oracles import planted_instance
@@ -198,8 +199,9 @@ class TestVerifyCommand:
                                                                       abs=1e-12)
 
     def test_a_slightly_wrong_tangent_frame_fails(self, tmp_path, monkeypatch):
-        # one frame element 1e-9 too long moves both constants by ~3e-10: far above
-        # rounding, far below the truncation error of a finite difference
+        # one frame element 1e-9 too long moves both constants by ~3e-10, and the
+        # detB identity by ~7e-10: far above rounding, far below the truncation
+        # error of a finite difference
         basis = vf.tangent_basis_E0()
 
         def stretched():
@@ -209,10 +211,32 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(vf, "tangent_basis_E0", stretched)
         out = tmp_path / "verify.json"
-        assert run_cli(["verify", "--suite", "nj", "--out", str(out)]) == 3
+        for suite, failing in (("nj", ("nj_pose_map", "nj_rotation_action")),
+                               ("identities", ("detB_identity",))):
+            assert run_cli(["verify", "--suite", suite, "--out", str(out)]) == 3
+            checks = json.loads(out.read_text())["checks"]
+            assert [name for name in failing if checks[name]["passed"]] == []
+
+    def test_a_slightly_wrong_z_formula_fails(self, tmp_path, monkeypatch):
+        """The last z-row 1e-9 too long fails the detB identity.
+
+        A stretch is chosen because it changes |det Z|: a permutation of the
+        z formula's rows or a flip of one row's sign leaves every |det|
+        unchanged, so neither the identity nor the determinant route can see
+        it.
+        """
+        exact = dists.quadric_z_in_place
+
+        def stretched(p):
+            exact(p)[4] *= 1.0 + 1e-9
+            return p
+
+        monkeypatch.setattr(dists, "quadric_z_in_place", stretched)
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--suite", "identities", "--out", str(out)]) == 3
         checks = json.loads(out.read_text())["checks"]
-        assert not checks["nj_pose_map"]["passed"]
-        assert not checks["nj_rotation_action"]["passed"]
+        assert not checks["detB_identity"]["passed"]
+        assert checks["det_AAT_identity"]["passed"]
 
     def test_all_suite_is_strict_json(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -184,7 +184,9 @@ class TestZVector:
                               z_vectors_at_once(dist.rng_for(13, 4), 7))
 
     def test_z_vectors_of_the_quadric_correspondences(self):
-        p = dist.quadric_draw(dist.rng_for(13, 1), (400, 5))
+        rng = dist.rng_for(13, 1)
+        p = np.concatenate([rng.standard_normal((400, 5, 4)),
+                            rng.uniform(0.0, 2.0 * np.pi, (400, 5, 1))], axis=-1)
         pts = quadric_correspondences(p)
         u, v = pts[..., 0, :], pts[..., 1, :]
         expected = np.stack([v[..., 0] * u[..., 2], v[..., 0] * u[..., 1],
@@ -196,7 +198,9 @@ class TestZVector:
     def test_in_place_map_in_slices(self, monkeypatch):
         # a strided view mapped 7 entries at a time, against the products written out
         monkeypatch.setattr(dist, "_Z_SLICE", 7)
-        p = dist.quadric_draw(dist.rng_for(13, 2), (10, 5))
+        rng = dist.rng_for(13, 2)
+        p = np.concatenate([rng.standard_normal((10, 5, 4)),
+                            rng.uniform(0.0, 2.0 * np.pi, (10, 5, 1))], axis=-1)
         a, b, r, s, theta = np.moveaxis(p, -1, 0)
         sin, cos = np.sin(theta), np.cos(theta)
         expected = np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=-1)

@@ -340,10 +340,25 @@ class TestVolumes:
         assert (0.5 * value) / vf.VOL_RP5 == pytest.approx(4.0, abs=4e-12)
 
 
-class TestDistributionalIdentity:
+class TestDetBIdentity:
     def test_detB_matches_scaled_ensemble(self):
-        out = vf.verify_detB_identity(150_000, seed=9)
-        assert out["passed"]
+        # the parameters of z_slices' draw, their correspondences, and B and Z of the
+        # first matrix written out from them one entry at a time
+        n = 200
+        report = vf.verify_detB_identity(samples=n, seed=9)
+        assert (report.name, report.passed, report.samples) == ("detB_identity", True, n)
+        assert report.worst_deviation <= 1e-12
+        rng = dists.rng_for(9, 0)
+        params = rng.standard_normal((4, 5 * n))
+        theta = rng.uniform(0.0, 2.0 * np.pi, 5 * n)
+        pts = quadric_correspondences(np.vstack([params, theta]).T[:5])
+        b = np.array([[u @ t @ v for t in tangent_basis_E0()] for u, v in pts])
+        z = np.array([[v[0] * u[2], v[0] * u[1], u[0] * v[2], u[0] * v[1],
+                       u[1] * v[1] + u[2] * v[2]] for u, v in pts]).T
+        assert np.allclose(z, dists.sample_z_matrices(dists.rng_for(9, 0), n)[0],
+                           rtol=1e-15, atol=1e-15)
+        assert report.value == pytest.approx(abs(np.linalg.det(b)), rel=1e-12)
+        assert report.expected == pytest.approx(4.0 * abs(np.linalg.det(z)), rel=1e-12)
 
 
 class TestSuiteRunner:
@@ -351,6 +366,7 @@ class TestSuiteRunner:
         report = vf.run_suite("all", seed=10, nj_samples=10, volume_samples=300)
         assert report["passed"]
         assert 0.0 < report["checks"]["volume_essential"]["worst_deviation"] <= 1e-12
+        assert report["checks"]["detB_identity"]["worst_deviation"] <= 1e-12
         assert set(report["checks"]) == {
             "nj_pose_map", "nj_rotation_action", "nj_quadric_param",
             "volume_essential", "det_AAT_identity", "detB_identity",
@@ -366,6 +382,15 @@ class TestSuiteRunner:
         assert report["checks"]["nj_rotation_action"]["passed"] is False
         assert report["checks"]["nj_rotation_action"]["value"] == 0.3
         assert report["checks"]["nj_pose_map"]["passed"] is True
+
+    def test_identities_pass_on_every_seed(self):
+        # a benchmark runs verify at a fresh seed every round: no tolerance may rest on one seed
+        worst = 0.0
+        for seed in range(1000):
+            report = vf.run_suite("identities", seed)
+            assert report["passed"], seed
+            worst = max(worst, report["checks"]["detB_identity"]["worst_deviation"])
+        assert worst <= 1e-14
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
