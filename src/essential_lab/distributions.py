@@ -9,14 +9,17 @@ Three distributions of codimension-5 linear spaces are provided:
 * ``sample_box`` -- correspondences drawn uniformly from pixel boxes in
   the affine chart, the distribution used for camera-like experiments.
 
-The base quadric u^T E0 v = 0 lives here too: ``quadric_z_in_place``
-maps its parameters (a, b, r, s, theta), which stand for the
-correspondence u = (a, r cos, r sin), v = (b, s cos, s sin), to their
-z-vectors.  The z-vectors make the determinant ensemble, whose average
-reproduces the correspondence average.  ``z_slices`` draws z-vectors a
-slice of whole matrices at a time, so that the ensemble never holds a
-stack of its matrices; the verify suite checks ``sample_z_matrices``,
-the same draw in one stack, matrix by matrix.
+The base quadric u^T E0 v = 0 lives here too: its parameters
+(a, b, r, s, theta) stand for the correspondence u = (a, r cos, r sin),
+v = (b, s cos, s sin), and their z-vector takes (a, b, r, s) only as the
+products b r, a s, r s.  ``quadric_fold`` forms those products and
+``quadric_z_of_products`` maps them and theta to z-vectors.  The
+z-vectors make the determinant ensemble, whose average reproduces the
+correspondence average.  ``z_slices`` draws z-vectors a slice of whole
+matrices at a time, folding s in as it is drawn, so that the ensemble
+holds three rows of parameters and never a stack of its matrices; the
+verify suite checks ``sample_z_matrices``, the same draw in one stack,
+matrix by matrix.
 
 Every sampler draws from explicit ``numpy.random.Generator`` objects.  For
 scheduling-independent parallel runs, derive one generator per sample
@@ -243,53 +246,67 @@ def sample_box(rngs, boxes):
 
 
 DET_BLOCK = 8192         # matrices per slice of the z-vector draw, and per block of abs_det5
-_Z_SLICE = 5 * DET_BLOCK    # z-vectors mapped at a time: whole matrices, small temporaries
+_Z_SLICE = 5 * DET_BLOCK    # z-vectors mapped, and s values drawn, at a time: whole matrices
 
 
-def quadric_z_in_place(p: np.ndarray) -> np.ndarray:
-    """Overwrite quadric parameters p (5, n, ...) with their z-vectors; return p.
+def quadric_fold(a: np.ndarray, b: np.ndarray, r: np.ndarray, s: np.ndarray) -> None:
+    """Fold s into the quadric parameters a, b, r in place: they become a s, b r, r s.
 
-    Rows a, b, r, s, theta become (b r sin, b r cos, a s sin, a s cos, r s),
-    i.e. (v0 u2, v0 u1, u0 v2, u0 v1, u1 v1 + u2 v2) of the correspondence
-    u = (a, r cos, r sin), v = (b, s cos, s sin) of the same parameters.
-    p may be a strided view, such as ``np.moveaxis(q, -1, 0)`` of
-    parameters q (..., 5); it is mapped ``_Z_SLICE`` entries of axis 1 at
-    a time, so the only temporaries are the sines and cosines of one slice.
+    These three products are all a z-vector takes of its parameters (see
+    :func:`quadric_z_of_products`), so s may be a piece drawn after a, b
+    and r and dropped once folded in.
     """
-    for lo in range(0, p.shape[1], _Z_SLICE):
-        a, b, r, s, theta = p[:, lo:lo + _Z_SLICE]
-        sin, cos = np.sin(theta), np.cos(theta)
-        # each parameter is read before its row is overwritten
-        np.multiply(r, s, out=theta)
-        np.multiply(b, r, out=b)
-        np.multiply(a, s, out=r)
-        np.multiply(r, cos, out=s)
-        r *= sin
-        np.multiply(b, sin, out=a)
-        b *= cos
-    return p
+    b *= r
+    a *= s
+    r *= s
+
+
+def quadric_z_of_products(br: np.ndarray, as_: np.ndarray, rs: np.ndarray,
+                          theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Write the z-vectors (br sin, br cos, as sin, as cos, rs) of theta into z (5, ...).
+
+    br, as_, rs are the products :func:`quadric_fold` leaves of the
+    parameters (a, b, r, s, theta), which stand for the correspondence
+    u = (a, r cos, r sin), v = (b, s cos, s sin); the z-vector is then
+    (v0 u2, v0 u1, u0 v2, u0 v1, u1 v1 + u2 v2).  theta may be the row
+    z[4]: the sines and cosines are taken into rows 0 and 1 before it is
+    overwritten, so no temporary is made.  Returns z.
+    """
+    np.sin(theta, out=z[0])
+    np.cos(theta, out=z[1])
+    np.multiply(as_, z[0], out=z[2])
+    np.multiply(as_, z[1], out=z[3])
+    z[0] *= br
+    z[1] *= br
+    z[4] = rs
+    return z
 
 
 def z_slices(rng: np.random.Generator, n: int):
     """Draw n z-vectors and yield them in order, as slices (k, 5) of ``_Z_SLICE`` or fewer.
 
-    a, b, r, s are drawn first, as four arrays of n normals; then, one
-    slice at a time, the slice's thetas, uniform on [0, 2 pi).  Each slice
-    is copied into one buffer (5, k) and mapped there by
-    :func:`quadric_z_in_place`, so besides the four arrays only that
-    buffer is held.  Every slice is a view of the same buffer, which the
-    next slice overwrites: copy a slice to keep it.
+    a, b, r are drawn first, as three arrays of n normals, and s after
+    them in pieces of ``_Z_SLICE``, each folded into a, b, r by
+    :func:`quadric_fold` as it is drawn, so s is never held whole.  Then,
+    one slice at a time, the slice's thetas are drawn, uniform on
+    [0, 2 pi), and :func:`quadric_z_of_products` writes its z-vectors
+    into one buffer (5, k), so besides the three arrays only that buffer
+    is held.  Every slice is a view of the same buffer, which the next
+    slice overwrites: copy a slice to keep it.
     """
-    rows = [rng.standard_normal(n) for _ in range(4)]
+    a, b, r = (rng.standard_normal(n) for _ in range(3))
     buffer = np.empty((5, min(n, _Z_SLICE)))
-    for lo in range(0, n, _Z_SLICE):
-        z = buffer[:, :min(_Z_SLICE, n - lo)]
-        for out, row in zip(z, rows):
-            out[:] = row[lo:lo + z.shape[1]]
+    pieces = [slice(lo, min(lo + _Z_SLICE, n)) for lo in range(0, n, _Z_SLICE)]
+    for p in pieces:
+        s = buffer[4, :p.stop - p.start]
+        rng.standard_normal(out=s)
+        quadric_fold(a[p], b[p], r[p], s)
+    for p in pieces:
+        z = buffer[:, :p.stop - p.start]
         # random() scaled in place draws what uniform(0, 2 pi, k) draws, with no temporary
         rng.random(out=z[4])
         z[4] *= 2.0 * np.pi
-        yield quadric_z_in_place(z).T
+        yield quadric_z_of_products(b[p], a[p], r[p], z[4], z).T
 
 
 def _z_batch(rng: np.random.Generator, n: int) -> np.ndarray:

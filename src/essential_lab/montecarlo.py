@@ -256,7 +256,8 @@ def estimate_abs_det(n: int, seed: int) -> DetEstimate:
     draws what ``sample_z_matrices`` draws, but takes the |det| of each
     slice of ``DET_BLOCK`` matrices as the draw yields it
     (``distributions.z_slices``), so no stack of the chunk's matrices is
-    built.
+    built; of its parameters the chunk holds three rows of normals,
+    a s, b r and r s, because s is folded in as it is drawn.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -270,7 +270,9 @@ def verify_detB_identity(samples: int = 200, seed: int = 0,
     """|det B| = 4 |det Z| for every matrix Z of the determinant route's draw.
 
     Z is ``sample_z_matrices(rng_for(seed, 0), samples)``; its parameters
-    are drawn again in the order of :func:`distributions.z_slices`, and
+    are drawn again in the order of :func:`distributions.z_slices`, s in
+    the same call as a, b and r: the pieces in which ``z_slices`` draws s
+    continue one stream, so they are the normals one call draws.  Then
     B_ij = u_i^T T_j v_i for the correspondence u = (a, r cos, r sin),
     v = (b, s cos, s sin) of column i and the tangent basis T.  Deviations
     are scaled by the Hadamard bound 4 prod_i |z_i|, which bounds the

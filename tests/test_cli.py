@@ -225,13 +225,13 @@ class TestVerifyCommand:
         unchanged, so neither the identity nor the determinant route can see
         it.
         """
-        exact = dists.quadric_z_in_place
+        exact = dists.quadric_fold
 
-        def stretched(p):
-            exact(p)[4] *= 1.0 + 1e-9
-            return p
+        def stretched(a, b, r, s):
+            exact(a, b, r, s)
+            r *= 1.0 + 1e-9
 
-        monkeypatch.setattr(dists, "quadric_z_in_place", stretched)
+        monkeypatch.setattr(dists, "quadric_fold", stretched)
         out = tmp_path / "verify.json"
         assert run_cli(["verify", "--suite", "identities", "--out", str(out)]) == 3
         checks = json.loads(out.read_text())["checks"]

@@ -179,9 +179,10 @@ class TestZVector:
         mats = dist.sample_z_matrices(dist.rng_for(13, 3), m)
         assert np.array_equal(dist.z_matrices(np.concatenate(parts)), mats)
         assert np.array_equal(mats[-1], whole[-5:].T)
-        # a count that is no multiple of five
-        assert np.array_equal(dist._z_batch(dist.rng_for(13, 4), 7),
-                              z_vectors_at_once(dist.rng_for(13, 4), 7))
+        # a count that is no multiple of five, and one whose last piece of s is one value
+        for n in (7, 5 * dist.DET_BLOCK + 1):
+            assert np.array_equal(dist._z_batch(dist.rng_for(13, 4), n),
+                                  z_vectors_at_once(dist.rng_for(13, 4), n))
 
     def test_z_vectors_of_the_quadric_correspondences(self):
         rng = dist.rng_for(13, 1)
@@ -192,20 +193,22 @@ class TestZVector:
         expected = np.stack([v[..., 0] * u[..., 2], v[..., 0] * u[..., 1],
                              u[..., 0] * v[..., 2], u[..., 0] * v[..., 1],
                              u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]], axis=-1)
-        z = dist.quadric_z_in_place(np.moveaxis(p.copy(), -1, 0))
+        a, b, r, s, theta = np.moveaxis(p.copy(), -1, 0)
+        dist.quadric_fold(a, b, r, s)
+        z = dist.quadric_z_of_products(b, a, r, theta, np.empty((5,) + theta.shape))
         assert np.max(np.abs(np.moveaxis(z, 0, -1) - expected)) <= 1e-12
 
     def test_in_place_map_in_slices(self, monkeypatch):
-        # a strided view mapped 7 entries at a time, against the products written out
+        # slices and pieces of s of 7 entries, against the products written out
         monkeypatch.setattr(dist, "_Z_SLICE", 7)
+        n = 50
+        z = np.concatenate([part.copy() for part in dist.z_slices(dist.rng_for(13, 2), n)])
         rng = dist.rng_for(13, 2)
-        p = np.concatenate([rng.standard_normal((10, 5, 4)),
-                            rng.uniform(0.0, 2.0 * np.pi, (10, 5, 1))], axis=-1)
-        a, b, r, s, theta = np.moveaxis(p, -1, 0)
+        a, b, r, s = rng.standard_normal((4, n))
+        theta = rng.random(n) * (2.0 * np.pi)
         sin, cos = np.sin(theta), np.cos(theta)
         expected = np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=-1)
-        dist.quadric_z_in_place(np.moveaxis(p, -1, 0))
-        assert np.array_equal(p, expected)
+        assert np.array_equal(z, expected)
 
 
 class TestEssentialUniform:
