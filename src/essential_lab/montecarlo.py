@@ -8,9 +8,10 @@ its instances through :class:`~essential_lab.distributions.Streams` (one
 Philox re-keyed per index, the same draws as ``rng_for``) and solves them
 with :func:`~essential_lab.solver.solve_batch`, whose arrays give each
 instance's count and failure reason; no solution objects are built.
-Chunks return integer histograms; the mean and variance follow exactly
-from their sum, so no floating-point reduction order depends on the
-scheduling either.
+Chunks return integer histograms, and determinant slices exact sums of
+|det|, det^2 and det^4; :func:`mean_variance` rounds the mean, variance
+and standard error of such exact sums once each, so no floating-point
+reduction order depends on the chunking or the scheduling either.
 """
 
 from __future__ import annotations
@@ -60,30 +61,27 @@ def _exact_sum(x: np.ndarray) -> Fraction:
     return Fraction(total) * Fraction(2) ** (e0 - 53)
 
 
-def mean_stderr(chunks):
-    """Mean and standard error of the values in an iterable of arrays, along axis 0.
+def _sqrt_rounded(q: Fraction) -> float:
+    """The square root of q >= 0, rounded once: to odd at 56 bits or more, then to a float."""
+    p, d = q.as_integer_ratio()
+    k = max(0, (112 - p.bit_length() + d.bit_length()) // 2)
+    root = math.isqrt((p << 2 * k) // d)
+    return (root | (root * root * d != p << 2 * k)) / (1 << k)
 
-    The mean is the exact sum over n, rounded once: the sums of each
-    chunk's columns are exact (:func:`_exact_sum`).  The variance takes
-    sums of d = x - c and of d^2 chunk by chunk, with c the mean of the
-    first chunk, so that the spread is not lost to cancellation.
-    One-dimensional chunks give two floats; chunks (m, k) give two lists
-    of k values.  A value that is not finite raises ``ValueError``.
+
+def mean_variance(n: int, total, squares):
+    """Mean, unbiased variance and standard error of the mean of n values, each rounded once.
+
+    ``total`` and ``squares`` are the exact sums (ints or Fractions) of
+    the values and of their squares, or of their float squares, whose
+    rounding can take the variance of nearly equal values below 0; it is
+    then 0.0.  Fewer than two values have variance and standard error
+    0.0, and no values a mean of 0.0.
     """
-    n, shift = 0, None
-    for x in chunks:
-        if shift is None:
-            shift, total, squares = x.mean(axis=0), 0.0, 0.0
-            sums = [0] * np.size(shift)
-        sums = [t + _exact_sum(column) for t, column in zip(sums, x.reshape(len(x), -1).T)]
-        d = x - shift
-        n += len(d)
-        total, squares = total + d.sum(axis=0), squares + (d * d).sum(axis=0)
-        del x, d        # freed before the next chunk is drawn, which sets the peak memory
-    mean = total / n
-    variance = np.maximum(squares - n * mean * mean, 0.0) / max(n - 1, 1)
-    means = np.reshape([float(t / n) for t in sums], np.shape(shift))
-    return means.tolist(), np.sqrt(variance / n).tolist()
+    if n < 2:
+        return float(total / n) if n else 0.0, 0.0, 0.0
+    variance = max(Fraction(n * squares - total * total, n * (n - 1)), Fraction(0))
+    return float(total / n), float(variance), _sqrt_rounded(variance / n)
 
 
 DET_BLOCK = dists.DET_BLOCK     # matrices per block of abs_det5: one slice of the z-vector draw
@@ -211,10 +209,8 @@ def run_experiment(dist: str, n: int, seed: int, workers: int = 1,
         failures += chunk_failures
 
     solved = int(hist.sum())
-    total = sum(k * int(c) for k, c in enumerate(hist))
-    squares = sum(k * k * int(c) for k, c in enumerate(hist))
-    mean = total / solved if solved else 0.0
-    variance = (solved * squares - total * total) / (solved * (solved - 1)) if solved > 1 else 0.0
+    mean, variance, _ = mean_variance(solved, sum(k * int(c) for k, c in enumerate(hist)),
+                                      sum(k * k * int(c) for k, c in enumerate(hist)))
     cheb = [[eps, min(1.0, variance / (solved * eps * eps))] for eps in (0.1, 0.05, 0.01)] \
         if variance > 0 else []
     return ExperimentReport(
@@ -255,21 +251,23 @@ def estimate_abs_det(n: int, seed: int) -> DetEstimate:
     the derived mean solution count ``pi^3/4 * mean(|det|)``.  A chunk
     draws what ``sample_z_matrices`` draws, but takes the |det| of each
     slice of ``DET_BLOCK`` matrices as the draw yields it
-    (``distributions.z_slices``), so no stack of the chunk's matrices is
-    built; of its parameters the chunk holds three rows of normals,
-    a s, b r and r s, because s is folded in as it is drawn.
+    (``distributions.z_slices``) and adds the exact sums of its |det|,
+    det^2 and det^4 (the float squares), so no array of the chunk's
+    matrices or dets is built; of its parameters the chunk holds three
+    rows of normals, a s, b r and r s, because s is folded in as it is
+    drawn.  :func:`mean_variance` turns the sums into the estimates.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     t0 = time.perf_counter()
-
-    def chunks():
-        for index, start in enumerate(range(0, n, DET_CHUNK)):
-            z = dists.z_slices(dists.rng_for(seed, index), 5 * min(DET_CHUNK, n - start))
-            dets = np.concatenate([abs_det5(dists.z_matrices(part)) for part in z])
-            yield np.stack([dets, dets * dets], axis=1)
-
-    (mean, second), (se_mean, se_second) = mean_stderr(chunks())
+    sums = [0, 0, 0]
+    for index, start in enumerate(range(0, n, DET_CHUNK)):
+        for z in dists.z_slices(dists.rng_for(seed, index), 5 * min(DET_CHUNK, n - start)):
+            dets = abs_det5(dists.z_matrices(z))
+            squares = dets * dets
+            sums = [t + _exact_sum(x) for t, x in zip(sums, (dets, squares, squares * squares))]
+    mean, _, se_mean = mean_variance(n, sums[0], sums[1])
+    second, _, se_second = mean_variance(n, sums[1], sums[2])
     return DetEstimate(
         n=n,
         seed=seed,

@@ -5,12 +5,17 @@ check: quadrature instead of scipy's ``ellipe``, quaternions instead of QR
 sampling, direct polynomial evaluation instead of coefficient assembly, the
 closed-form monomial integral over a simplex, a generic per-curve
 complex-step derivative instead of the stacked closed-form normal
-Jacobians, the quadric correspondences written out, and z-vectors drawn in
-one piece with their formula written out instead of the sliced draw.
+Jacobians, the quadric correspondences written out, z-vectors drawn in
+one piece with their formula written out instead of the sliced draw, and
+exact float sums from integer ratios, with square roots found by exact
+squares, instead of per-exponent sums and an integer square root.
 """
 
+import decimal
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -197,19 +202,60 @@ def z_vectors_at_once(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=1)
 
 
-def det_route_at_once(n: int, seed: int, chunk: int, rng_for, abs_det, mean_stderr):
+def exact_float_sum(values) -> Fraction:
+    """The exact sum of floats: their integer ratios over the largest (power-of-two) denominator."""
+    ratios = [v.as_integer_ratio() for v in np.ravel(values).tolist()]
+    d = max(den for _, den in ratios)
+    return Fraction(sum(num * (d // den) for num, den in ratios), d)
+
+
+def sqrt_rounded(q: Fraction) -> float:
+    """The float nearest the square root of q >= 0.
+
+    Starts from a 40-digit ``decimal`` root (which, unlike a float, does
+    not underflow on the way) and steps one float at a time until the
+    midpoints between the candidate and its two neighbours bracket the
+    root, compared by their exact squares.  A root on a midpoint is a
+    tie, which ``float`` of that midpoint rounds half to even.
+    """
+    def midpoint(c, towards):
+        return (Fraction(c) + Fraction(math.nextafter(c, towards))) / 2
+
+    with decimal.localcontext() as context:
+        context.prec = 40
+        c = float((decimal.Decimal(q.numerator) / q.denominator).sqrt())
+    while c > 0 and midpoint(c, 0.0) ** 2 > q:
+        c = math.nextafter(c, 0.0)
+    while midpoint(c, math.inf) ** 2 < q:
+        c = math.nextafter(c, math.inf)
+    ties = [m for m in (midpoint(c, 0.0), midpoint(c, math.inf)) if m * m == q]
+    return float(ties[0]) if ties else c
+
+
+def det_route_at_once(n: int, seed: int, chunk: int, rng_for, abs_det):
     """The determinant route with each chunk's matrices built as one stack.
 
     Chunk i holds ``min(chunk, n - i chunk)`` matrices from
     ``rng_for(seed, i)``; matrix k has z-vectors 5k..5k+4 of
-    :func:`z_vectors_at_once` as its columns.  The |det| and det^2 of
-    every chunk go through ``mean_stderr``, whose result is returned.
+    :func:`z_vectors_at_once` as its columns.  Returns the means of |det|
+    and of det^2 (float squares, as is det^4 = (det^2)^2) and their
+    standard errors.  Each sum is exact (:func:`exact_float_sum`), a
+    variance is (sum of squares - n mean^2) / (n - 1) clamped at 0, and
+    each result is rounded once (:func:`sqrt_rounded` for the errors).
     """
-    def chunks():
-        for index, start in enumerate(range(0, n, chunk)):
-            m = min(chunk, n - start)
-            z = z_vectors_at_once(rng_for(seed, index), 5 * m)
-            dets = abs_det(z.reshape(m, 5, 5).transpose(0, 2, 1))
-            yield np.stack([dets, dets * dets], axis=1)
+    def chunk_dets(index, start):
+        m = min(chunk, n - start)
+        z = z_vectors_at_once(rng_for(seed, index), 5 * m)
+        return abs_det(z.reshape(m, 5, 5).transpose(0, 2, 1))
 
-    return mean_stderr(chunks())
+    dets = np.concatenate([chunk_dets(i, start) for i, start in enumerate(range(0, n, chunk))])
+    squares = dets * dets
+    sums = [exact_float_sum(x) for x in (dets, squares, squares * squares)]
+
+    def mean_se(total, total_of_squares):
+        mean = total / n
+        variance = max((total_of_squares - n * mean * mean) / (n - 1), 0) if n > 1 else 0
+        return float(mean), sqrt_rounded(Fraction(variance) / n)
+
+    (mean, se_mean), (second, se_second) = mean_se(*sums[:2]), mean_se(*sums[1:])
+    return (mean, second), (se_mean, se_second)

@@ -13,7 +13,7 @@ from essential_lab import distributions as dists
 from essential_lab import montecarlo as mc
 from essential_lab.errors import CrossCheckFailed
 
-from oracles import det_route_at_once
+from oracles import det_route_at_once, sqrt_rounded
 
 BOXES55 = [(-5.0, 5.0, -5.0, 5.0)] * 10
 
@@ -21,53 +21,74 @@ values_strategy = st.lists(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=
                            min_size=1, max_size=40)
 
 
-class TestMeanStderr:
+def exact_statistics(values):
+    """Mean, unbiased variance and standard error of floats: two passes over Fractions."""
+    values = [Fraction(v) for v in values]
+    n = len(values)
+    mean = sum(values) / n
+    variance = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else Fraction(0)
+    return float(mean), float(variance), sqrt_rounded(variance / n)
+
+
+def grouped_statistics(*groups):
+    """mean_variance of the values in groups, from the exact sums of each group added."""
+    arrays = [np.array(g) for g in groups]
+    return mc.mean_variance(sum(map(len, arrays)), sum(mc._exact_sum(x) for x in arrays),
+                            sum(mc._exact_sum(x * x) for x in arrays))
+
+
+class TestMeanVariance:
     @given(values_strategy, values_strategy)
     @example([1e6, 1e6 - 0.1], [1e6 + 0.1])     # plain sums of x and x^2 lose this spread
-    # ill-conditioned sums: the shifted sum missed the first two (hypothesis
+    # ill-conditioned sums: the old shifted sum missed the first two (hypothesis
     # seeds 172 and 195), a sum of rounded chunk sums misses the third
     @example([995591.0], [-995700.9999999999])
     @example([999598.0, 999598.0, -999652.0], [-999652.0])
     @example([1e6, 0.1], [-1e6])
+    @example([1.0], [3.0])      # variance / n = 1: the square root is exact
     @settings(max_examples=100, deadline=None)
-    def test_split_chunks_match_concatenation(self, a, b):
-        mean, se = mc.mean_stderr([np.array(a), np.array(b)])
-        values = np.array(a + b)
-        exact = float(sum(map(Fraction, a + b)) / values.size)
-        expected_se = np.std(values, ddof=1) / math.sqrt(values.size)
-        assert abs(mean - exact) <= 1e-12 * max(abs(exact), 1.0)
-        assert abs(se - expected_se) <= 1e-9 * max(expected_se, 1.0)
+    def test_each_statistic_is_the_exact_one_rounded_once(self, a, b):
+        squares = sum(Fraction(v) ** 2 for v in a + b)
+        got = mc.mean_variance(len(a + b), mc._exact_sum(np.array(a)) + mc._exact_sum(np.array(b)),
+                               squares)
+        assert got == exact_statistics(a + b)
 
     @given(values_strategy, values_strategy, values_strategy)
     @settings(max_examples=50, deadline=None)
     def test_grouping_into_chunks_does_not_matter(self, a, b, c):
-        left = mc.mean_stderr([np.array(a + b), np.array(c)])
-        right = mc.mean_stderr([np.array(a), np.array(b + c)])
-        assert abs(left[0] - right[0]) <= 1e-12 * max(abs(left[0]), 1.0)
-        assert abs(left[1] - right[1]) <= 1e-9 * max(left[1], 1.0)
+        assert grouped_statistics(a + b, c) == grouped_statistics(a, b + c) \
+            == grouped_statistics(a, b, c) == grouped_statistics(a + b + c)
 
-    def test_columns_are_separate_series(self):
-        x = np.random.default_rng(0).standard_normal((1000, 2))
-        means, ses = mc.mean_stderr([x[:300], x[300:]])
-        for k in range(2):
-            mean, se = mc.mean_stderr([x[:300, k], x[300:, k]])
-            assert means[k] == pytest.approx(mean, rel=1e-12)
-            assert ses[k] == pytest.approx(se, rel=1e-12)
+    # sums over n = 2 with total 0: variance / n = squares / 2, below and above 2^111
+    @pytest.mark.parametrize("squares", [Fraction(1, 3 * 10 ** 300), Fraction(3),
+                                         Fraction(10 ** 40), Fraction(10 ** 300 + 1)])
+    def test_the_standard_error_is_rounded_once_at_any_scale(self, squares):
+        assert mc.mean_variance(2, 0, squares) == (0.0, float(squares), sqrt_rounded(squares / 2))
+
+    def test_integer_sums_divide_as_integers(self):
+        rng = np.random.default_rng(3)
+        for n in rng.integers(2, 10 ** 9, 20).tolist():
+            total = int(rng.integers(0, 10 * n))
+            squares = total * total // n + int(rng.integers(0, 10 ** 6))
+            mean, variance, _ = mc.mean_variance(n, total, squares)
+            assert (mean, variance) == (total / n, (n * squares - total * total) / (n * (n - 1)))
 
     def test_one_value_has_no_spread(self):
-        assert mc.mean_stderr([np.array([2.5])]) == (2.5, 0.0)
+        assert mc.mean_variance(1, Fraction(5, 2), Fraction(25, 4)) == (2.5, 0.0, 0.0)
+        assert mc.mean_variance(0, 0, 0) == (0.0, 0.0, 0.0)
 
+
+class TestExactSum:
     def test_long_columns_are_summed_in_exact_slices(self, monkeypatch):
         x = np.random.default_rng(1).standard_normal(1000) * np.logspace(-100, 100, 1000)
-        whole = mc.mean_stderr([x])
+        whole = mc._exact_sum(x)
         monkeypatch.setattr(mc, "_EXACT_SLICE", 7)
-        assert mc.mean_stderr([x]) == whole
-        assert whole[0] == float(sum(map(Fraction, x.tolist())) / x.size)
+        assert mc._exact_sum(x) == whole == sum(map(Fraction, x.tolist()))
 
     def test_values_that_are_not_finite_raise(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                mc.mean_stderr([np.array([1.0, 2.0]), np.array([bad])])
+                mc._exact_sum(np.array([1.0, 2.0, bad]))
 
 
 PERMUTATIONS = [(perm, (-1) ** sum(perm[i] > perm[k] for i in range(5) for k in range(i + 1, 5)))
@@ -176,13 +197,18 @@ class TestRunExperiment:
             mc.run_experiment("cauchy", 10, seed=0)
 
 
+@pytest.fixture(scope="module")
+def det_1e6_seed21():
+    return mc.estimate_abs_det(10 ** 6, seed=21)
+
+
 class TestDetEstimator:
-    def test_second_moment_near_derived_constant(self):
-        est = mc.estimate_abs_det(10 ** 6, seed=21)
+    def test_second_moment_near_derived_constant(self, det_1e6_seed21):
+        est = det_1e6_seed21
         assert abs(est.second_moment - 7.5) <= 3.0 * est.se_second
 
-    def test_derived_mean_matches_reference(self):
-        est = mc.estimate_abs_det(10 ** 6, seed=21)
+    def test_derived_mean_matches_reference(self, det_1e6_seed21):
+        est = det_1e6_seed21
         # reference level 3.95 from the large determinant ensemble
         assert abs(est.derived_mean - 3.95) <= 4.0 * mc.DET_TO_COUNT * est.se_mean
 
@@ -197,23 +223,33 @@ class TestDetEstimator:
     def test_slices_give_the_bits_of_whole_chunks(self, n):
         est = mc.estimate_abs_det(n, seed=4)
         (mean, second), (se_mean, se_second) = det_route_at_once(
-            n, 4, mc.DET_CHUNK, dists.rng_for, mc.abs_det5, mc.mean_stderr)
+            n, 4, mc.DET_CHUNK, dists.rng_for, mc.abs_det5)
         got = est.to_dict()
         got.pop("wall_time")
         assert got == {"n": n, "seed": 4, "mean_abs_det": mean, "second_moment": second,
                        "derived_mean": mc.DET_TO_COUNT * mean, "se_mean": se_mean,
                        "se_second": se_second}
 
+    def test_slices_of_any_size_give_the_same_bits(self, monkeypatch):
+        # 12k matrices cross one slice boundary of 8192, or eleven of 1000
+        whole = mc.estimate_abs_det(12_000, seed=8).to_dict()
+        monkeypatch.setattr(dists, "_Z_SLICE", 5 * 1000)
+        sliced = mc.estimate_abs_det(12_000, seed=8).to_dict()
+        whole.pop("wall_time")
+        sliced.pop("wall_time")
+        assert sliced == whole
+
     def test_a_chunk_builds_no_stack_of_its_matrices(self):
         # the chunk's 3 x 1.25M normals are 28.6 MiB, a fourth row would add 9.5 MiB and its
-        # (250k, 5, 5) stack 48 MiB
+        # (250k, 5, 5) stack 48 MiB; the slice buffer and abs_det5's blocks take 4.3 MiB
+        # more, so 5 MiB leaves no room for an array of the chunk's 250k dets (1.9 MiB)
         tracemalloc.start()
         try:
             mc.estimate_abs_det(250_000, 0)
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 1.25e6 * 8 / 2 ** 20
+        assert peak < 3 * 1.25e6 * 8 / 2 ** 20 + 5
 
 
 class TestCrossCheck:
