@@ -9,7 +9,6 @@ differential-geometric constants, and the convex-body lower bound.
 __version__ = "0.1.0"
 
 from .errors import (
-    CrossCheckFailed,
     DegenerateInput,
     DegeneratePencil,
     DomainError,
@@ -32,7 +31,7 @@ from .solver import (
 
 __all__ = [
     "__version__",
-    "CrossCheckFailed", "DegenerateInput", "DegeneratePencil",
+    "DegenerateInput", "DegeneratePencil",
     "DomainError", "EssentialLabError", "RankDeficient",
     "E0", "EssentialMatrix",
     "cross_matrix", "demazure_residuals", "half_trace_inner", "tangent_basis_E0",

@@ -19,10 +19,3 @@ class DegeneratePencil(EssentialLabError):
 
 class DomainError(EssentialLabError):
     """Argument outside the mathematical domain of a special function."""
-
-
-class CrossCheckFailed(EssentialLabError):
-    """Two independent estimates of the same quantity disagree.
-
-    Carries both estimates and their confidence data in ``args[1]``.
-    """

@@ -11,7 +11,8 @@ instance's count and failure reason; no solution objects are built.
 Chunks return integer histograms, and determinant slices exact sums of
 |det|, det^2 and det^4; :func:`mean_variance` rounds the mean, variance
 and standard error of such exact sums once each, so no floating-point
-reduction order depends on the chunking or the scheduling either.
+reduction order depends on the chunking or the scheduling either, and
+both reports state their uncertainty as that standard error, ``se_mean``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import distributions as dists
-from .errors import CrossCheckFailed
 from .solver import SOLVED, solve_batch
 from .solver import solve_five_point  # noqa: F401 - perfbench traces this name
 
@@ -129,27 +129,13 @@ class ExperimentReport:
     seed: int
     mean: float
     variance: float
+    se_mean: float
     histogram: list
     failures: int
-    chebyshev: list
     wall_time: float
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def chebyshev_bound(sigma2: float, n: int, eps: float) -> float:
-    """Tail bound ``min(1, pi^6/16 * sigma2 / (n eps^2))``.
-
-    This is the conservative constant used when converting the variance
-    of the determinant ensemble into a confidence statement about the
-    expected number of real solutions.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    if n < 1 or eps <= 0:
-        raise ValueError("need n >= 1 and eps > 0")
-    return min(1.0, (math.pi ** 6 / 16.0) * sigma2 / (n * eps * eps))
 
 
 def _sample_chunk(dist: str, rngs, boxes):
@@ -178,10 +164,9 @@ def run_experiment(dist: str, n: int, seed: int, workers: int = 1,
 
     Deterministic given ``(dist, n, seed)`` for any worker count; failed
     solves are excluded from the mean and reported separately.  The mean
-    and variance are computed exactly from the merged histogram, and the
-    Chebyshev column estimates ``P(|mean - E| >= eps)`` by
-    ``min(1, variance / (solved * eps^2))``: Chebyshev's bound with the
-    sample variance in place of the true one, so it is no bound itself.
+    and variance of the solved counts and the standard error of their mean
+    are each rounded once from the merged histogram's integer sums
+    (:func:`mean_variance`), the rule of :func:`estimate_abs_det` too.
     """
     if n < 1 or workers < 1:
         raise ValueError("need n >= 1 and workers >= 1")
@@ -209,19 +194,17 @@ def run_experiment(dist: str, n: int, seed: int, workers: int = 1,
         failures += chunk_failures
 
     solved = int(hist.sum())
-    mean, variance, _ = mean_variance(solved, sum(k * int(c) for k, c in enumerate(hist)),
-                                      sum(k * k * int(c) for k, c in enumerate(hist)))
-    cheb = [[eps, min(1.0, variance / (solved * eps * eps))] for eps in (0.1, 0.05, 0.01)] \
-        if variance > 0 else []
+    mean, variance, se_mean = mean_variance(solved, sum(k * int(c) for k, c in enumerate(hist)),
+                                            sum(k * k * int(c) for k, c in enumerate(hist)))
     return ExperimentReport(
         distribution=dist,
         n=n,
         seed=seed,
         mean=mean,
         variance=variance,
+        se_mean=se_mean,
         histogram=[int(c) for c in hist],
         failures=failures,
-        chebyshev=cheb,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -278,50 +261,3 @@ def estimate_abs_det(n: int, seed: int) -> DetEstimate:
         se_second=se_second,
         wall_time=time.perf_counter() - t0,
     )
-
-
-@dataclass
-class CrossCheck:
-    """Solver-based versus determinant-based estimate of the same mean."""
-
-    solver_report: ExperimentReport
-    det_estimate: DetEstimate
-    solver_se: float
-    det_se: float
-    gap: float
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "solver_mean": self.solver_report.mean,
-            "solver_se": self.solver_se,
-            "det_mean": self.det_estimate.derived_mean,
-            "det_se": self.det_se,
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-        }
-
-
-def cross_check_determinant_mean(n_solver: int, n_det: int, seed: int,
-                                 workers: int = 1) -> CrossCheck:
-    """Check that the solver mean matches the determinant-based mean.
-
-    The two estimates target the same quantity; the check requires the gap
-    to stay within the sum of their 3-sigma standard errors and raises
-    :class:`CrossCheckFailed` (carrying both estimates) otherwise.
-    """
-    solver_report = run_experiment("psi", n_solver, seed, workers=workers)
-    det = estimate_abs_det(n_det, seed + 1)
-    solved = max(solver_report.n - solver_report.failures, 1)
-    solver_se = math.sqrt(solver_report.variance / solved)
-    det_se = DET_TO_COUNT * det.se_mean
-    gap = abs(solver_report.mean - det.derived_mean)
-    tolerance = 3.0 * (solver_se + det_se)
-    check = CrossCheck(solver_report, det, solver_se, det_se, gap, tolerance)
-    if gap > tolerance:
-        raise CrossCheckFailed(
-            f"solver mean {solver_report.mean:.4f} vs determinant mean "
-            f"{det.derived_mean:.4f}: gap {gap:.4f} > {tolerance:.4f}",
-            check.to_dict(),
-        )
-    return check

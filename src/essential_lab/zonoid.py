@@ -24,6 +24,12 @@ from .errors import DomainError
 #: lambda_4 for (e_i + 1/3 e_3), lambda_5 for (1/3 e_i + e_3).
 LAMBDAS = (0.73, 0.86, 0.85, 0.966, 0.957)
 
+#: The five certified families lambda_k (a e_i + c e_3), i = 1, 2, in the
+#: order of ``LAMBDAS``: the name of each point and its (a, c).
+FAMILIES = (("l1(p{i}+p3)", 1.0, 1.0), ("l2(p{i}+2/3 p3)", 1.0, 2.0 / 3.0),
+            ("l3(2/3 p{i}+p3)", 2.0 / 3.0, 1.0), ("l4(p{i}+1/3 p3)", 1.0, 1.0 / 3.0),
+            ("l5(1/3 p{i}+p3)", 1.0 / 3.0, 1.0))
+
 #: Diagonal map sending polytope coordinates to support-body coordinates.
 AXIS_SCALE = np.array([2.0 / math.pi ** 2, 2.0 / math.pi ** 2, 1.0 / math.pi])
 
@@ -210,19 +216,16 @@ def polytope_generators(lambdas=LAMBDAS, symmetrized: bool = True) -> np.ndarray
     i = 1, 2; the symmetrized variant adds lambda_1 (e_2 + e_3), making
     the generator set symmetric under swapping the first two axes.
     """
-    l1, l2, l3, l4, l5 = lambdas
-    e1, e2, e3 = np.eye(3)
-    pts = [np.zeros(3), e1, e2, e3, l1 * (e1 + e3)]
-    if symmetrized:
-        pts.append(l1 * (e2 + e3))
-    for ei in (e1, e2):
-        pts.extend([
-            l2 * (ei + (2.0 / 3.0) * e3),
-            l3 * ((2.0 / 3.0) * ei + e3),
-            l4 * (ei + (1.0 / 3.0) * e3),
-            l5 * ((1.0 / 3.0) * ei + e3),
-        ])
-    return np.array(pts)
+    one, two = _family_points(lambdas, 1), _family_points(lambdas, 2)
+    diagonals = [one[0], two[0]] if symmetrized else [one[0]]
+    return np.array([np.zeros(3), *np.eye(3)] + [p for _, p in diagonals + one[1:] + two[1:]])
+
+
+def _family_points(lambdas, i: int) -> list:
+    """(name, point) of the five families on axis i = 1 or 2, in unscaled coordinates."""
+    e = np.eye(3)
+    return [(name.format(i=i), lam * (a * e[i - 1] + c * e[2]))
+            for lam, (name, a, c) in zip(lambdas, FAMILIES)]
 
 
 def build_polytope_P(lambdas=LAMBDAS, symmetrized: bool = True) -> Polytope3:
@@ -252,18 +255,9 @@ class ZonoidBoundReport:
 
 def membership_points(lambdas=LAMBDAS):
     """The thirteen certified points: three axis points plus ten scaled ones."""
-    l1, l2, l3, l4, l5 = lambdas
-    e1, e2, e3 = np.eye(3)
-    pts = [("p1", e1), ("p2", e2), ("p3", e3)]
-    for i, ei in (("1", e1), ("2", e2)):
-        pts.extend([
-            (f"l1(p{i}+p3)", l1 * (ei + e3)),
-            (f"l2(p{i}+2/3 p3)", l2 * (ei + (2.0 / 3.0) * e3)),
-            (f"l3(2/3 p{i}+p3)", l3 * ((2.0 / 3.0) * ei + e3)),
-            (f"l4(p{i}+1/3 p3)", l4 * (ei + (1.0 / 3.0) * e3)),
-            (f"l5(1/3 p{i}+p3)", l5 * ((1.0 / 3.0) * ei + e3)),
-        ])
-    return [(name, AXIS_SCALE * p) for name, p in pts]
+    axes = [(f"p{i}", e) for i, e in enumerate(np.eye(3), 1)]
+    return [(name, AXIS_SCALE * p)
+            for name, p in axes + _family_points(lambdas, 1) + _family_points(lambdas, 2)]
 
 
 def zonoid_lower_bound(grid: int = 128, lambdas=LAMBDAS) -> ZonoidBoundReport:

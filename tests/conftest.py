@@ -19,6 +19,12 @@ def unifg_100k():
 
 
 @pytest.fixture(scope="session")
-def psi_crosscheck_100k():
-    """Correspondence experiment plus determinant cross-check, acceptance scale."""
-    return mc.cross_check_determinant_mean(100_000, 100_000, ACCEPT_SEED)
+def psi_100k():
+    """Correspondence experiment at acceptance scale."""
+    return mc.run_experiment("psi", 100_000, ACCEPT_SEED, workers=1)
+
+
+@pytest.fixture(scope="session")
+def det_100k():
+    """Determinant ensemble that criterion 04 sets against ``psi_100k``, on the next seed."""
+    return mc.estimate_abs_det(100_000, ACCEPT_SEED + 1)

@@ -259,3 +259,9 @@ def det_route_at_once(n: int, seed: int, chunk: int, rng_for, abs_det):
 
     (mean, se_mean), (second, se_second) = mean_se(*sums[:2]), mean_se(*sums[1:])
     return (mean, second), (se_mean, se_second)
+
+
+def gap_and_budget(report, det, det_to_count: float):
+    """|solver mean - determinant mean| and the 3-sigma budget of the two reports' ``se_mean``."""
+    return (abs(report.mean - det.derived_mean),
+            3.0 * (report.se_mean + det_to_count * det.se_mean))

@@ -21,6 +21,7 @@ from essential_lab import zonoid as zn
 from conftest import ACCEPT_SEED
 from oracles import (
     elliptic_second_kind_quadrature,
+    gap_and_budget,
     planted_instance,
     projective_distance,
 )
@@ -43,7 +44,7 @@ def det_10m():
 def test_criterion_01_rotation_invariant_mean(unifg_100k):
     rep = unifg_100k
     odd_bins = [rep.histogram[k] for k in (1, 3, 5, 7, 9)]
-    se = math.sqrt(rep.variance / (rep.n - rep.failures))
+    se = rep.se_mean
     ok = (3.90 <= rep.mean <= 4.10 and all(b == 0 for b in odd_bins)
           and rep.failures < 0.001 * rep.n and abs(rep.mean - 4.0) <= 4.0 * se)
     _report(1, ok, f"mean={rep.mean:.4f} in [3.90, 4.10] and within 4 se "
@@ -51,8 +52,8 @@ def test_criterion_01_rotation_invariant_mean(unifg_100k):
                    f"failures={rep.failures}/{rep.n}")
 
 
-def test_criterion_02_correspondence_mean(psi_crosscheck_100k):
-    rep = psi_crosscheck_100k.solver_report
+def test_criterion_02_correspondence_mean(psi_100k):
+    rep = psi_100k
     ok = 3.80 <= rep.mean <= 4.05
     _report(2, ok, f"mean={rep.mean:.4f} in [3.80, 4.05]")
 
@@ -64,12 +65,11 @@ def test_criterion_03_determinant_estimator(det_10m):
                    f"det second moment={est.second_moment:.3f} in [7.3, 7.7]")
 
 
-def test_criterion_04_cross_check(psi_crosscheck_100k):
-    check = psi_crosscheck_100k
-    ok = check.gap < 0.1 and check.gap <= check.tolerance
-    _report(4, ok, f"solver={check.solver_report.mean:.4f} vs "
-                   f"determinant={check.det_estimate.derived_mean:.4f}, "
-                   f"gap={check.gap:.4f} < 0.1 (3-sigma budget {check.tolerance:.4f})")
+def test_criterion_04_cross_check(psi_100k, det_100k):
+    gap, budget = gap_and_budget(psi_100k, det_100k, mc.DET_TO_COUNT)
+    ok = gap < 0.1 and gap <= budget
+    _report(4, ok, f"solver={psi_100k.mean:.4f} vs determinant={det_100k.derived_mean:.4f}, "
+                   f"gap={gap:.4f} < 0.1 (3-sigma budget {budget:.4f})")
 
 
 def test_criterion_05_rank_two_pencil_average():
@@ -91,7 +91,7 @@ def test_criterion_05_rank_two_pencil_average():
 
 def test_criterion_06_box_experiment():
     rep = mc.run_experiment("box", 10_000, ACCEPT_SEED, boxes=BOXES55)
-    se = math.sqrt(rep.variance / (rep.n - rep.failures))
+    se = rep.se_mean
     ok = (3.64 <= rep.mean <= 3.94 and rep.failures < 0.001 * rep.n
           and abs(rep.mean - BOX55_MEAN) <= 4.0 * se)
     _report(6, ok, f"box mean={rep.mean:.4f} in [3.64, 3.94] and within 4 se "

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from essential_lab import verify as vf
 
 from oracles import planted_instance
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 PAIR = {"u": [1.0, 2.0, 3.0], "v": [0.5, -1.0, 2.0]}
 #: A solvable instance, as rows and as correspondences.
 ROWS = np.random.default_rng(2).standard_normal((5, 9)).tolist()
@@ -155,6 +157,23 @@ class TestExperimentCommand:
         assert run_cli(["experiment", "--dist", "gauss", "--n", "10"]) == 1
         assert run_cli(["experiment"]) == 1
         assert run_cli([]) == 1
+
+
+class TestReportKeys:
+    @pytest.mark.parametrize("args, keys", [
+        (["experiment", "--dist", "psi", "--n", "50"],
+         {"version", "config", "distribution", "n", "seed", "mean", "variance", "se_mean",
+          "histogram", "failures", "wall_time"}),
+        (["det", "--n", "50"],
+         {"version", "config", "n", "seed", "mean_abs_det", "second_moment", "derived_mean",
+          "se_mean", "se_second", "wall_time"}),
+    ])
+    def test_top_level_keys_are_pinned_and_documented(self, tmp_path, args, keys):
+        out = tmp_path / "report.json"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == keys
+        readme = README.read_text(encoding="utf-8")
+        assert sorted(key for key in keys if f"`{key}`" not in readme) == []
 
 
 class TestDetCommand:

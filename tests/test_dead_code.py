@@ -23,9 +23,6 @@ DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Public src definitions that only tests use, each with the reason it stays.
 TESTED_ONLY = {
-    "montecarlo.cross_check_determinant_mean": "acceptance criterion 04 ties the solver mean "
-                                               "to the determinant mean",
-    "montecarlo.chebyshev_bound": "the paper's variance bound for the determinant ensemble",
     "solver.pencil_real_root_counts": "acceptance criterion 05's rank-two pencil average 2",
 }
 

@@ -261,8 +261,8 @@ class TestZeroCountFrequency:
         fraction = unifg_100k.histogram[0] / (unifg_100k.n - unifg_100k.failures)
         assert 0.002 <= fraction <= 0.03
 
-    def test_correspondence_spaces_almost_always_have_real_solutions(self, psi_crosscheck_100k):
-        rep = psi_crosscheck_100k.solver_report
+    def test_correspondence_spaces_almost_always_have_real_solutions(self, psi_100k):
+        rep = psi_100k
         fraction = rep.histogram[0] / (rep.n - rep.failures)
         assert fraction <= 0.01
 

@@ -146,6 +146,21 @@ class TestActionMatrix:
         op = sv.action_matrix(matrix[None])
         assert op.shape == (1, 10, 10) and np.all(np.isnan(op))
 
+    def test_a_chart_with_a_solution_at_infinity_fails_and_a_retry_restores_the_count(self):
+        """E4 orthogonal to a real solution e puts e at w = 0 of the chart's homogenization,
+        so the left block cannot be invertible (see the README); a new chart settles it."""
+        for seed in range(100, 140):
+            streams = dist.Streams(seed, 0, 1)
+            rows, basis = dist.sample_psi(streams)
+            solved = sv.solve_batch(rows, basis, streams)
+            assert solved.reason[0] == sv.SOLVED and solved.count[0] > 0
+            e = solved.solutions[0, solved.kept[0].argmax()].ravel()
+            chart = np.linalg.qr(np.column_stack([e, basis[0].T]))[0][:, :4].T
+            assert np.all(np.isnan(sv.action_matrix(sv.build_constraint_matrix(chart))))
+            again = sv.solve_batch(rows, chart[None], [np.random.default_rng(seed)])
+            assert again.reason[0] == sv.SOLVED and again.retries[0] >= 1
+            assert again.count[0] == solved.count[0]
+
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     @pytest.mark.parametrize("cond, kept", [(1e11, True), (1e13, False)])
     def test_elimination_keeps_blocks_below_the_1_norm_condition_ceiling(self, cond, kept,

@@ -299,9 +299,9 @@ class TestVolumeEstimate:
         derived = 120.0 * (math.pi ** 3 / 4.0) * vol_k
         assert abs(derived - 3.95) <= 4.0 * 120.0 * (math.pi ** 3 / 4.0) * stderr
 
-    def test_lower_bound_stays_below_solver_mean(self, psi_crosscheck_100k):
+    def test_lower_bound_stays_below_solver_mean(self, psi_100k):
         report = zn.zonoid_lower_bound(grid=60)
-        assert report.bound <= psi_crosscheck_100k.solver_report.mean
+        assert report.bound <= psi_100k.mean
 
 
 @pytest.fixture(scope="module")
