@@ -113,6 +113,16 @@ class TestExperimentCommand:
         assert a["config"]["dist"] == "unifG"
         assert 2.0 <= a["mean"] <= 6.0
 
+    def test_json_is_identical_across_worker_counts(self, tmp_path):
+        texts = []
+        for workers in ("1", "2", "4"):
+            out = tmp_path / f"w{workers}.json"
+            assert run_cli(["experiment", "--dist", "psi", "--n", "300", "--seed", "7",
+                            "--workers", workers, "--out", str(out)]) == 0
+            texts.append(json.dumps(strip_wall_time(out)))
+        assert texts[0] == texts[1] == texts[2]
+        assert "se_mean" in texts[0] and "chebyshev" not in texts[0]
+
     def test_csv_histogram(self, tmp_path):
         out = tmp_path / "hist.csv"
         assert run_cli(["experiment", "--dist", "psi", "--n", "200", "--seed", "3",

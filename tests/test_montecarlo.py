@@ -164,6 +164,12 @@ class TestRunExperiment:
         assert report.se_mean == sqrt_rounded(variance / solved)
         assert report.se_mean != math.sqrt(report.variance / solved)
 
+    def test_a_single_solved_instance_has_no_spread(self):
+        report = mc.run_experiment("psi", 1, seed=3)
+        assert report.failures == 0 and sum(report.histogram) == 1
+        assert report.mean == float(report.histogram.index(1))
+        assert (report.variance, report.se_mean) == (0.0, 0.0)
+
     def test_worker_counts_agree(self):
         one = mc.run_experiment("psi", 1100, seed=6, workers=1)
         four = mc.run_experiment("psi", 1100, seed=6, workers=4)
