@@ -48,7 +48,6 @@ def _build_parser() -> _Parser:
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("--input", required=True, help="instance JSON path")
     solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    solve.add_argument("--retries", type=int, default=5)
     solve.add_argument("--out", default=None)
 
     exp = sub.add_parser("experiment", help="batch experiment over a distribution")
@@ -153,7 +152,7 @@ def _with_envelope(payload: dict, config: dict) -> dict:
 
 def _cmd_solve(args) -> int:
     space = load_instance(args.input)
-    result = solve_five_point(space, retries=args.retries, rng=args.seed)
+    result = solve_five_point(space, rng=args.seed)
     payload = {
         "real_count": result.real_count,
         "status": result.status,

@@ -70,7 +70,7 @@ class EssentialMatrix:
     """Unit-norm essential matrix; checks norm and cubic residuals."""
 
     m: np.ndarray
-    residual: float = field(default=0.0, compare=False)
+    residual: float = field(init=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)

@@ -150,16 +150,16 @@ def _sample_chunk(dist: str, rngs, boxes):
 
 def _solve_chunk(args):
     """Sample and solve one chunk as a stack; returns its histogram and failure count."""
-    dist, boxes, seed, start, length, retries = args
+    dist, boxes, seed, start, length = args
     streams = dists.Streams(seed, start, length)
     rows, basis = _sample_chunk(dist, streams, boxes)
-    result = solve_batch(rows, basis, streams, retries)
+    result = solve_batch(rows, basis, streams)
     solved = result.count[result.reason == SOLVED]
     return np.bincount(solved, minlength=11), length - solved.size
 
 
 def run_experiment(dist: str, n: int, seed: int, workers: int = 1,
-                   boxes=None, retries: int = 5) -> ExperimentReport:
+                   boxes=None) -> ExperimentReport:
     """Solve ``n`` independent instances of a distribution and tabulate.
 
     Deterministic given ``(dist, n, seed)`` for any worker count; failed
@@ -177,8 +177,7 @@ def run_experiment(dist: str, n: int, seed: int, workers: int = 1,
                       for b in boxes)
 
     t0 = time.perf_counter()
-    tasks = [(dist, boxes, seed, start, min(CHUNK, n - start), retries)
-             for start in range(0, n, CHUNK)]
+    tasks = [(dist, boxes, seed, start, min(CHUNK, n - start)) for start in range(0, n, CHUNK)]
     if workers == 1:
         results = [_solve_chunk(t) for t in tasks]
     else:

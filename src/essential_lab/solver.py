@@ -42,6 +42,8 @@ from .geometry import TOL_INVARIANT, EssentialMatrix, demazure_residuals
 REAL_IMAG_TOL = 1e-6      # |Im| threshold before refinement
 ACCEPT_RESIDUAL = 1e-8    # max residual after refinement
 COND_LIMIT = 1e12         # 1-norm condition ceiling for the elimination block
+RETRIES = 5               # new charts an instance may take before it fails
+DISC_TOL = 1e-10          # pencil discriminant threshold on max-normalized coefficients
 
 #: Failure reasons of an instance, indexed by the codes below.
 FAILURE_REASONS = ("", "elimination", "parity")
@@ -346,17 +348,17 @@ def _monomials_and_gradients(w: np.ndarray):
     return mon, grad
 
 
-def _refine_on_chart(w: np.ndarray, constraint: np.ndarray, iters: int = 10):
+def _refine_on_chart(w: np.ndarray, constraint: np.ndarray):
     """Gauss-Newton on the ten cubic residuals over the chart coordinates.
 
     ``w`` (k, 3) holds chart points, each with its own constraint matrix
     in ``constraint`` (k, 10, 20).  The five linear residuals vanish
     identically on the chart, so this is the 15-residual refinement
-    restricted to the solution chart.  A point stops once its residuals
-    fall below 1e-13.
+    restricted to the solution chart.  A point takes at most ten steps and
+    stops once its residuals fall below 1e-13.
     """
     w = w.copy()
-    for _ in range(iters):
+    for _ in range(10):
         mon, grad = _monomials_and_gradients(w)
         r = (constraint @ mon[..., None])[..., 0]
         live = np.max(np.abs(r), axis=1) >= 1e-13
@@ -446,18 +448,18 @@ def validate_and_count(candidates, rows, basis, constraint) -> StackResult:
                        np.zeros(n, dtype=np.int64), kept, solutions, residuals)
 
 
-def solve_batch(rows, basis, rngs, retries: int = 5) -> StackResult:
+def solve_batch(rows, basis, rngs) -> StackResult:
     """Solve a stack of instances together; one row of arrays per instance.
 
     ``rows`` (N, 5, 9) have numerical rank 5 and ``basis`` (N, 4, 9) holds
     their kernel bases, as :func:`nullspace_basis` gives them.  Every stage
-    runs on the whole stack.  An instance whose elimination or
-    eigen-iteration fails is recombined by a random orthogonal 4x4 mixing
-    of its basis (a new chart) drawn from its own generator ``rngs[i]``,
-    up to ``retries`` times; a parity failure earns one extra
-    re-randomized attempt.  The instances that need a new chart rerun the
-    stages together, so each instance gets the result it gets alone.
-    ``rngs[i]`` is looked up only when instance i needs a new chart.
+    runs on the whole stack.  A failed instance is recombined by a random
+    orthogonal 4x4 mixing of its basis (a new chart) drawn from its own
+    generator ``rngs[i]``, up to ``RETRIES`` times: after each elimination
+    or eigen-iteration failure, and after its first parity failure only.
+    The instances that need a new chart rerun the stages together, so each
+    instance gets the result it gets alone.  ``rngs[i]`` is looked up only
+    when instance i needs a new chart.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
     basis = np.ascontiguousarray(basis, dtype=float)
@@ -466,7 +468,7 @@ def solve_batch(rows, basis, rngs, retries: int = 5) -> StackResult:
     parity_used = np.zeros(len(basis), dtype=bool)
     while todo.size:
         parity = out.reason[todo] == PARITY
-        todo = todo[(out.retries[todo] < retries) & ~(parity & parity_used[todo])]
+        todo = todo[(out.retries[todo] < RETRIES) & ~(parity & parity_used[todo])]
         if not todo.size:
             break
         parity_used[todo] |= out.reason[todo] == PARITY
@@ -485,13 +487,12 @@ def _solve_on_charts(rows, charts) -> StackResult:
     return validate_and_count(eigen_candidates(action_matrix(constraint)), rows, charts, constraint)
 
 
-def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountResult:
+def solve_five_point(space: LinearSpace, rng=None) -> CountResult:
     """Full solve of one instance: :func:`solve_batch` on a stack of one.
 
-    Nullspace chart, action matrix, eigen candidates, validation; on
-    elimination or eigen-iteration failure the solve is retried on a new
-    chart, up to ``retries`` times, and a parity failure earns one extra
-    re-randomized attempt.  Every accepted solution becomes an
+    Nullspace chart, action matrix, eigen candidates, validation; a failed
+    solve is retried on new charts by the rule of :func:`solve_batch`, up
+    to ``RETRIES`` of them.  Every accepted solution becomes an
     :class:`EssentialMatrix` through ``EssentialMatrix.trusted`` with the
     residual it was accepted at.  Deterministic for a fixed ``rng`` seed.
     """
@@ -503,7 +504,7 @@ def solve_five_point(space: LinearSpace, retries: int = 5, rng=None) -> CountRes
             or isinstance(rng, (int, np.integer)) and rng >= 0):
         rng = np.random.default_rng(rng)
     out = solve_batch(space.rows[None], space.basis[None],
-                      defaultdict(lambda: np.random.default_rng(rng)), retries)
+                      defaultdict(lambda: np.random.default_rng(rng)))
     tries = int(out.retries[0])
     if out.reason[0] != SOLVED:
         return CountResult(0, (), "failed", tries, FAILURE_REASONS[out.reason[0]], 0.0)
@@ -525,11 +526,12 @@ def _pencil_coefficients(a: np.ndarray, b: np.ndarray):
     return np.stack([c0, c1, c2, c3], axis=-1)
 
 
-def pencil_real_root_counts(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def pencil_real_root_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Real projective roots of det(s*A + t*B) for stacked 3x3 pencils.
 
     Roots are counted without multiplicity via the binary-cubic
-    discriminant on max-normalized coefficients; the count is 3, 2 or 1.
+    discriminant on max-normalized coefficients, which counts as zero
+    within ``DISC_TOL``; the count is 3, 2 or 1.
     Pencils whose determinant vanishes identically raise
     :class:`DegeneratePencil` (the four interpolation points are four
     distinct evaluation directions, so all-zero values force an
@@ -553,12 +555,12 @@ def pencil_real_root_counts(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) ->
         - 4.0 * c0 * c2 ** 3
         - 27.0 * c0 ** 2 * c3 ** 2
     )
-    counts = np.where(disc > tol, 3, 1)
-    degenerate = np.abs(disc) <= tol
+    counts = np.where(disc > DISC_TOL, 3, 1)
+    degenerate = np.abs(disc) <= DISC_TOL
     if np.any(degenerate):
         # repeated roots: double+simple gives 2 distinct, triple gives 1
         d0 = c1 ** 2 - 3.0 * c0 * c2
         d1 = c2 ** 2 - 3.0 * c1 * c3
-        triple = (np.abs(d0) <= tol) & (np.abs(d1) <= tol)
+        triple = (np.abs(d0) <= DISC_TOL) & (np.abs(d1) <= DISC_TOL)
         counts = np.where(degenerate, np.where(triple, 1, 2), counts)
     return counts

@@ -34,6 +34,8 @@ VOL_RP5 = math.pi ** 3 / 2.0
 VOLUME_BLOCK = 1024      # poses per nj_pose_map call of the volume check
 #: Largest deviation a normal-Jacobian or volume check allows: rounding, not truncation.
 EXACT_TOL = 1e-12
+#: Largest relative deviation the det(A A^T) identity allows: LAPACK's det of a 5x5 Gram matrix.
+DETAAT_TOL = 1e-10
 
 
 def _gram_root(jac: np.ndarray) -> np.ndarray:
@@ -125,7 +127,7 @@ class CheckReport:
         return asdict(self)
 
 
-def verify_nj_E(samples: int = 100, seed: int = 0, tol: float = EXACT_TOL) -> CheckReport:
+def verify_nj_E(samples: int = 100, seed: int = 0) -> CheckReport:
     """The pose-map normal Jacobian equals 1/4 at every sampled point.
 
     The report's value is the one at the reference pose (I, e1), which
@@ -135,7 +137,7 @@ def verify_nj_E(samples: int = 100, seed: int = 0, tol: float = EXACT_TOL) -> Ch
     nj = nj_pose_map(np.concatenate([np.eye(3)[None], r]),
                      np.concatenate([np.eye(3)[:1], t]))
     worst = float(np.max(np.abs(nj - 0.25)))
-    return CheckReport("nj_pose_map", worst <= tol, float(nj[0]), 0.25, worst, samples + 1)
+    return CheckReport("nj_pose_map", worst <= EXACT_TOL, float(nj[0]), 0.25, worst, samples + 1)
 
 
 def nj_rotation_action(u, v) -> np.ndarray:
@@ -154,7 +156,7 @@ def nj_rotation_action(u, v) -> np.ndarray:
     return _tangent_gram_root(tangents, u, v)
 
 
-def verify_nj_gamma(seed: int = 0, tol: float = EXACT_TOL, samples: int = 10) -> CheckReport:
+def verify_nj_gamma(seed: int = 0, samples: int = 10) -> CheckReport:
     """The two-sided action has normal Jacobian 1/sqrt(8), everywhere.
 
     The report's value is the one at (I, I), checked together with
@@ -166,7 +168,7 @@ def verify_nj_gamma(seed: int = 0, tol: float = EXACT_TOL, samples: int = 10) ->
                             dists.haar_rotations(gauss.reshape(-1, 3, 3)).reshape(-1, 2, 3, 3)])
     nj = nj_rotation_action(pairs[:, 0], pairs[:, 1])
     worst = float(np.max(np.abs(nj - expected)))
-    return CheckReport("nj_rotation_action", worst <= tol, float(nj[0]), expected, worst,
+    return CheckReport("nj_rotation_action", worst <= EXACT_TOL, float(nj[0]), expected, worst,
                        samples + 1)
 
 
@@ -196,8 +198,7 @@ def _quadric_point(rng: np.random.Generator, out: np.ndarray) -> None:
     out[4] = rng.uniform(0.0, 2.0 * math.pi)
 
 
-def verify_quadric_param_nj(samples: int = 50, seed: int = 0,
-                            tol: float = EXACT_TOL) -> CheckReport:
+def verify_quadric_param_nj(samples: int = 50, seed: int = 0) -> CheckReport:
     """The quadric parametrization scales volume by sqrt(r^2 + s^2).
 
     Point i draws a, b, r, s standard normal and theta uniform from
@@ -208,7 +209,7 @@ def verify_quadric_param_nj(samples: int = 50, seed: int = 0,
     expected = np.hypot(p[:, 2], p[:, 3])
     got = nj_quadric_param(p)
     worst = float(np.max(np.abs(got - expected)))
-    return CheckReport("nj_quadric_param", worst <= tol, float(got[0]), float(expected[0]),
+    return CheckReport("nj_quadric_param", worst <= EXACT_TOL, float(got[0]), float(expected[0]),
                        worst, samples)
 
 
@@ -248,8 +249,7 @@ def incidence_jacobian_blocks(points: np.ndarray) -> np.ndarray:
     return out.reshape(u.shape[:-1] + (30,))
 
 
-def verify_detAAT_identity(samples: int = 200, seed: int = 0,
-                           tol: float = 1e-10) -> CheckReport:
+def verify_detAAT_identity(samples: int = 200, seed: int = 0) -> CheckReport:
     """det(A A^T) equals the product of u2^2 + u3^2 + v2^2 + v3^2.
 
     Sample i draws its five correspondences from ``rng_for(seed, i)``.
@@ -261,12 +261,11 @@ def verify_detAAT_identity(samples: int = 200, seed: int = 0,
     sq = pts[..., 1:] ** 2
     rhs = np.prod(sq[..., 0, 0] + sq[..., 0, 1] + sq[..., 1, 0] + sq[..., 1, 1], axis=1)
     worst = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)))
-    return CheckReport("det_AAT_identity", worst <= tol, float(lhs[0]), float(rhs[0]), worst,
+    return CheckReport("det_AAT_identity", worst <= DETAAT_TOL, float(lhs[0]), float(rhs[0]), worst,
                        samples)
 
 
-def verify_detB_identity(samples: int = 200, seed: int = 0,
-                         tol: float = EXACT_TOL) -> CheckReport:
+def verify_detB_identity(samples: int = 200, seed: int = 0) -> CheckReport:
     """|det B| = 4 |det Z| for every matrix Z of the determinant route's draw.
 
     Z is ``sample_z_matrices(rng_for(seed, 0), samples)``; its parameters
@@ -291,12 +290,11 @@ def verify_detB_identity(samples: int = 200, seed: int = 0,
     four_det_z = 4.0 * abs_det5(z)
     hadamard = 4.0 * np.prod(np.sqrt(np.sum(z * z, axis=1)), axis=1)
     worst = float(np.max(np.abs(det_b - four_det_z) / hadamard))
-    return CheckReport("detB_identity", worst <= tol, float(det_b[0]), float(four_det_z[0]),
+    return CheckReport("detB_identity", worst <= EXACT_TOL, float(det_b[0]), float(four_det_z[0]),
                        worst, samples)
 
 
-def run_suite(suite: str = "all", seed: int = 0, nj_samples: int = 100,
-              volume_samples: int = 10_000) -> dict:
+def run_suite(suite: str = "all", seed: int = 0) -> dict:
     """Run the requested verification checks and report pass/fail."""
     if suite not in ("all", "nj", "volumes", "identities"):
         raise ValueError(f"unknown suite {suite!r}")
@@ -306,11 +304,11 @@ def run_suite(suite: str = "all", seed: int = 0, nj_samples: int = 100,
         checks[report.name] = report.to_dict()
 
     if suite in ("all", "nj"):
-        record(verify_nj_E(nj_samples, seed))
+        record(verify_nj_E(100, seed))
         record(verify_nj_gamma(seed))
         record(verify_quadric_param_nj(50, seed))
     if suite in ("all", "volumes"):
-        vol_sphere, worst = mc_volume_essential(volume_samples, seed)
+        vol_sphere, worst = mc_volume_essential(10_000, seed)
         expected = 4.0 * math.pi ** 3
         ratio = (0.5 * vol_sphere) / VOL_RP5
         checks["volume_essential"] = {
@@ -319,7 +317,7 @@ def run_suite(suite: str = "all", seed: int = 0, nj_samples: int = 100,
                        and abs(ratio - 4.0) <= 4.0 * EXACT_TOL),
             "value": vol_sphere, "expected": expected,
             "projective_ratio": ratio, "worst_deviation": worst,
-            "samples": volume_samples,
+            "samples": 10_000,
         }
     if suite in ("all", "identities"):
         record(verify_detAAT_identity(200, seed))

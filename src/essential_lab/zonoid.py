@@ -164,15 +164,13 @@ class Polytope3:
     volume: float
 
     @classmethod
-    def from_points(cls, points, apex=None) -> "Polytope3":
+    def from_points(cls, points) -> "Polytope3":
         # scipy takes ~0.4 s to import and nothing else uses it, so only this route loads it
         from scipy.spatial import ConvexHull
 
         points = np.asarray(points, dtype=float)
         hull = ConvexHull(points)
-        if apex is None:
-            apex = points[hull.vertices].mean(axis=0)
-        apex = np.asarray(apex, dtype=float)
+        apex = points[hull.vertices].mean(axis=0)     # every tetrahedron joins it to a facet
         # every generator must lie inside the hull
         worst = float((hull.equations[:, :3] @ points.T + hull.equations[:, 3:]).max())
         if worst > 1e-12:
@@ -208,7 +206,7 @@ def integrate_rho1rho2(poly: Polytope3) -> float:
     return float(np.sum(vols * vals.mean(axis=1)))
 
 
-def polytope_generators(lambdas=LAMBDAS, symmetrized: bool = True) -> np.ndarray:
+def polytope_generators(symmetrized: bool = True) -> np.ndarray:
     """Generator list of the certified polytope in unscaled coordinates.
 
     The literal list contains 0, the three unit axis points, the scaled
@@ -216,21 +214,21 @@ def polytope_generators(lambdas=LAMBDAS, symmetrized: bool = True) -> np.ndarray
     i = 1, 2; the symmetrized variant adds lambda_1 (e_2 + e_3), making
     the generator set symmetric under swapping the first two axes.
     """
-    one, two = _family_points(lambdas, 1), _family_points(lambdas, 2)
+    one, two = _family_points(1), _family_points(2)
     diagonals = [one[0], two[0]] if symmetrized else [one[0]]
     return np.array([np.zeros(3), *np.eye(3)] + [p for _, p in diagonals + one[1:] + two[1:]])
 
 
-def _family_points(lambdas, i: int) -> list:
+def _family_points(i: int) -> list:
     """(name, point) of the five families on axis i = 1 or 2, in unscaled coordinates."""
     e = np.eye(3)
     return [(name.format(i=i), lam * (a * e[i - 1] + c * e[2]))
-            for lam, (name, a, c) in zip(lambdas, FAMILIES)]
+            for lam, (name, a, c) in zip(LAMBDAS, FAMILIES)]
 
 
-def build_polytope_P(lambdas=LAMBDAS, symmetrized: bool = True) -> Polytope3:
+def build_polytope_P(symmetrized: bool = True) -> Polytope3:
     """Convex hull of the certified generator set, tetrahedralized."""
-    return Polytope3.from_points(polytope_generators(lambdas, symmetrized))
+    return Polytope3.from_points(polytope_generators(symmetrized))
 
 
 @dataclass
@@ -253,14 +251,13 @@ class ZonoidBoundReport:
         return asdict(self)
 
 
-def membership_points(lambdas=LAMBDAS):
+def membership_points():
     """The thirteen certified points: three axis points plus ten scaled ones."""
     axes = [(f"p{i}", e) for i, e in enumerate(np.eye(3), 1)]
-    return [(name, AXIS_SCALE * p)
-            for name, p in axes + _family_points(lambdas, 1) + _family_points(lambdas, 2)]
+    return [(name, AXIS_SCALE * p) for name, p in axes + _family_points(1) + _family_points(2)]
 
 
-def zonoid_lower_bound(grid: int = 128, lambdas=LAMBDAS) -> ZonoidBoundReport:
+def zonoid_lower_bound(grid: int = 128) -> ZonoidBoundReport:
     """Assemble the certified lower bound on the correspondence average.
 
     Checks membership of all thirteen scaled points, integrates
@@ -269,15 +266,15 @@ def zonoid_lower_bound(grid: int = 128, lambdas=LAMBDAS) -> ZonoidBoundReport:
     bound uses the symmetrized integral; membership failures are flagged
     in the report.
     """
-    names, points = zip(*membership_points(lambdas))
+    names, points = zip(*membership_points())
     certified, margins = membership_check(np.array(points), grid=grid)
     memberships = [{"name": name, "point": point.tolist(), "certified": bool(ok),
                     "margin": float(margin)}
                    for name, point, ok, margin in zip(names, points, certified, margins)]
     ok = bool(certified.all())
 
-    integral_literal = integrate_rho1rho2(build_polytope_P(lambdas, symmetrized=False))
-    integral_symmetrized = integrate_rho1rho2(build_polytope_P(lambdas, symmetrized=True))
+    integral_literal = integrate_rho1rho2(build_polytope_P(symmetrized=False))
+    integral_symmetrized = integrate_rho1rho2(build_polytope_P(symmetrized=True))
     integral_used = integral_symmetrized
 
     factor_count_from_volume = 120.0 * math.pi ** 3 / 4.0
@@ -286,7 +283,7 @@ def zonoid_lower_bound(grid: int = 128, lambdas=LAMBDAS) -> ZonoidBoundReport:
     vol_k_lower = factor_fibers * factor_scaling * integral_used
     bound = factor_count_from_volume * vol_k_lower
     return ZonoidBoundReport(
-        lambdas=tuple(lambdas),
+        lambdas=LAMBDAS,
         memberships=memberships,
         membership_ok=ok,
         integral_literal=integral_literal,

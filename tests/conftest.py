@@ -25,6 +25,10 @@ def psi_100k():
 
 
 @pytest.fixture(scope="session")
-def det_100k():
-    """Determinant ensemble that criterion 04 sets against ``psi_100k``, on the next seed."""
-    return mc.estimate_abs_det(100_000, ACCEPT_SEED + 1)
+def det_1m():
+    """Determinant ensemble that criterion 04 sets against ``psi_100k``, on the next seed.
+
+    ``rng_for(ACCEPT_SEED, i)`` keys instance i of ``psi_100k``, so the
+    determinant route draws from other streams.
+    """
+    return mc.estimate_abs_det(1_000_000, ACCEPT_SEED + 1)

@@ -131,16 +131,17 @@ class TestSolveBatch:
         assert not stacked.failed
         assert stacked.real_count == total
 
-    def test_retried_rows_match_their_solo_results(self):
+    def test_retried_rows_match_their_solo_results(self, monkeypatch):
         rng = np.random.default_rng(5)
         rows, basis = corpus(per_kind=4)
         forced = [forced_retry_instance(rng) for _ in range(4)]
         rows = np.concatenate([rows[:8], [r for r, _ in forced], rows[8:]])
         basis = np.concatenate([basis[:8], [b for _, b in forced], basis[8:]])
         for retries in (5, 0):
-            stacked = sv.solve_batch(rows, basis, chart_generators(len(rows)), retries)
+            monkeypatch.setattr(sv, "RETRIES", retries)
+            stacked = sv.solve_batch(rows, basis, chart_generators(len(rows)))
             for i, gen in enumerate(chart_generators(len(rows))):
-                alone = sv.solve_batch(rows[i:i + 1], basis[i:i + 1], [gen], retries)
+                alone = sv.solve_batch(rows[i:i + 1], basis[i:i + 1], [gen])
                 assert_same_result(alone, stacked, i)
             retried = (stacked.retries > 0) | (stacked.reason != sv.SOLVED)
             assert np.flatnonzero(retried).tolist() == [8, 9, 10, 11]
@@ -150,8 +151,29 @@ class TestSolveBatch:
                 assert np.all(stacked.reason[retried] == sv.ELIMINATION)
                 # read as one result, a stack fails only when every instance fails
                 assert not stacked.failed
-                assert sv.solve_batch(rows[retried], basis[retried],
-                                      chart_generators(4), retries).failed
+                assert sv.solve_batch(rows[retried], basis[retried], chart_generators(4)).failed
+
+    @pytest.mark.parametrize("rounds, retries, last", [
+        ((sv.PARITY,), 1, sv.PARITY),
+        ((sv.PARITY, sv.ELIMINATION), 2, sv.PARITY),
+        ((sv.ELIMINATION,), sv.RETRIES, sv.ELIMINATION),
+    ])
+    def test_a_parity_failure_gets_one_new_chart(self, monkeypatch, rounds, retries, last):
+        """Each round fails every instance with the next reason of ``rounds``, cyclically."""
+        validate, seen = sv.validate_and_count, []
+
+        def failing(*args):
+            out = validate(*args)
+            code = rounds[len(seen) % len(rounds)]
+            seen.append(code)
+            return out._replace(count=0 * out.count, reason=np.full_like(out.reason, code))
+
+        monkeypatch.setattr(sv, "validate_and_count", failing)
+        rows, basis = corpus(per_kind=2)
+        result = sv.solve_batch(rows, basis, chart_generators(len(rows)))
+        assert result.retries.tolist() == [retries] * len(rows)
+        assert result.reason.tolist() == [last] * len(rows)
+        assert len(seen) == retries + 1
 
     def test_streams_chunk_with_forced_retries_matches_solo_results(self):
         seed, n, forced = 41, 12, [1, 6, 11]

@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +186,18 @@ class TestReportKeys:
         assert set(json.loads(out.read_text())) == keys
         readme = README.read_text(encoding="utf-8")
         assert sorted(key for key in keys if f"`{key}`" not in readme) == []
+
+
+class TestOptions:
+    def test_every_option_is_named_in_the_readme(self):
+        parser = cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {option for command in commands.choices.values() for action in command._actions
+                   for option in action.option_strings if option.startswith("--")}
+        options.discard("--help")
+        readme = README.read_text(encoding="utf-8")
+        assert "--dist" in options
+        assert sorted(o for o in options if not re.search(re.escape(o) + r"(?![\w-])", readme)) == []
 
 
 class TestDetCommand:

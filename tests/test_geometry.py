@@ -130,3 +130,6 @@ class TestTypes:
         scaled = 1.01 * geo.E0
         with pytest.raises(DegenerateInput):
             geo.EssentialMatrix(scaled)
+        # the constructor computes the residual; it takes none to overwrite
+        with pytest.raises(TypeError):
+            geo.EssentialMatrix(geo.E0.copy(), residual=0.5)

@@ -363,7 +363,7 @@ class TestDetBIdentity:
 
 class TestSuiteRunner:
     def test_all_suites_pass(self):
-        report = vf.run_suite("all", seed=10, nj_samples=10, volume_samples=300)
+        report = vf.run_suite("all", seed=10)
         assert report["passed"]
         assert 0.0 < report["checks"]["volume_essential"]["worst_deviation"] <= 1e-12
         assert report["checks"]["detB_identity"]["worst_deviation"] <= 1e-12
@@ -373,11 +373,13 @@ class TestSuiteRunner:
         }
 
     def test_failed_check_is_reported_with_its_figures(self, monkeypatch):
-        failed = vf.verify_nj_gamma(samples=2, tol=0.0)
+        with monkeypatch.context() as exact:
+            exact.setattr(vf, "EXACT_TOL", 0.0)
+            failed = vf.verify_nj_gamma(samples=2)
         assert failed.name == "nj_rotation_action"
         assert failed.passed is False
         monkeypatch.setattr(vf, "nj_rotation_action", lambda u, v: np.full(len(u), 0.3))
-        report = vf.run_suite("nj", seed=1, nj_samples=2)
+        report = vf.run_suite("nj", seed=1)
         assert report["passed"] is False
         assert report["checks"]["nj_rotation_action"]["passed"] is False
         assert report["checks"]["nj_rotation_action"]["value"] == 0.3
