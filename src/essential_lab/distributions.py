@@ -15,11 +15,12 @@ v = (b, s cos, s sin), and their z-vector takes (a, b, r, s) only as the
 products b r, a s, r s.  ``quadric_fold`` forms those products and
 ``quadric_z_of_products`` maps them and theta to z-vectors.  The
 z-vectors make the determinant ensemble, whose average reproduces the
-correspondence average.  ``z_slices`` draws z-vectors a slice of whole
-matrices at a time, folding s in as it is drawn, so that the ensemble
-holds three rows of parameters and never a stack of its matrices; the
-verify suite checks ``sample_z_matrices``, the same draw in one stack,
-matrix by matrix.
+correspondence average.  ``z_slices`` draws z-vectors one block of
+``DET_BLOCK`` whole matrices at a time, parameters and then thetas, so
+that the ensemble holds one block's parameters and never a stack of its
+matrices, and the block lays out the stream of the draw; the verify
+suite checks ``sample_z_matrices``, the same draw in one stack, matrix
+by matrix.
 
 Every sampler draws from explicit ``numpy.random.Generator`` objects.  For
 scheduling-independent parallel runs, derive one generator per sample
@@ -245,8 +246,8 @@ def sample_box(rngs, boxes):
                   redraw=False)
 
 
-DET_BLOCK = 8192         # matrices per slice of the z-vector draw, and per block of abs_det5
-_Z_SLICE = 5 * DET_BLOCK    # z-vectors mapped, and s values drawn, at a time: whole matrices
+DET_BLOCK = 8192         # matrices per block of the z-vector draw's stream, and of abs_det5
+_Z_SLICE = 5 * DET_BLOCK    # z-vectors drawn and mapped at a time: one block of whole matrices
 
 
 def quadric_fold(a: np.ndarray, b: np.ndarray, r: np.ndarray, s: np.ndarray) -> None:
@@ -285,28 +286,28 @@ def quadric_z_of_products(br: np.ndarray, as_: np.ndarray, rs: np.ndarray,
 def z_slices(rng: np.random.Generator, n: int):
     """Draw n z-vectors and yield them in order, as slices (k, 5) of ``_Z_SLICE`` or fewer.
 
-    a, b, r are drawn first, as three arrays of n normals, and s after
-    them in pieces of ``_Z_SLICE``, each folded into a, b, r by
-    :func:`quadric_fold` as it is drawn, so s is never held whole.  Then,
-    one slice at a time, the slice's thetas are drawn, uniform on
-    [0, 2 pi), and :func:`quadric_z_of_products` writes its z-vectors
-    into one buffer (5, k), so besides the three arrays only that buffer
-    is held.  Every slice is a view of the same buffer, which the next
-    slice overwrites: copy a slice to keep it.
+    The draw goes block by block, one slice of k z-vectors at a time:
+    the slice's a, b, r and s are drawn by one call into a buffer (4, k)
+    and folded into a s, b r and r s by :func:`quadric_fold`, then its
+    thetas are drawn, uniform on [0, 2 pi), and
+    :func:`quadric_z_of_products` writes its z-vectors into a second
+    buffer (5, k).  So the stream of a draw is laid out in blocks of
+    ``DET_BLOCK`` matrices, and only these two buffers are held, whatever
+    n is.  Every slice is a view of the same buffer, which the next slice
+    overwrites: copy a slice to keep it.
     """
-    a, b, r = (rng.standard_normal(n) for _ in range(3))
-    buffer = np.empty((5, min(n, _Z_SLICE)))
-    pieces = [slice(lo, min(lo + _Z_SLICE, n)) for lo in range(0, n, _Z_SLICE)]
-    for p in pieces:
-        s = buffer[4, :p.stop - p.start]
-        rng.standard_normal(out=s)
-        quadric_fold(a[p], b[p], r[p], s)
-    for p in pieces:
-        z = buffer[:, :p.stop - p.start]
+    size = min(n, _Z_SLICE)
+    params, buffer = np.empty(4 * size), np.empty((5, size))
+    for lo in range(0, n, _Z_SLICE):
+        k = min(_Z_SLICE, n - lo)
+        # flat, then reshaped: a (4, k) view of a (4, size) array is not contiguous
+        a, b, r, s = rng.standard_normal(out=params[:4 * k]).reshape(4, k)
+        quadric_fold(a, b, r, s)
+        z = buffer[:, :k]
         # random() scaled in place draws what uniform(0, 2 pi, k) draws, with no temporary
         rng.random(out=z[4])
         z[4] *= 2.0 * np.pi
-        yield quadric_z_of_products(b[p], a[p], r[p], z[4], z).T
+        yield quadric_z_of_products(b, a, r, z[4], z).T
 
 
 def _z_batch(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -84,7 +84,7 @@ def mean_variance(n: int, total, squares):
     return float(total / n), float(variance), _sqrt_rounded(variance / n)
 
 
-DET_BLOCK = dists.DET_BLOCK     # matrices per block of abs_det5: one slice of the z-vector draw
+DET_BLOCK = dists.DET_BLOCK     # matrices per block of abs_det5: one block of the z-vector draw
 _PAIRS = tuple((j, k) for j in range(5) for k in range(j + 1, 5))
 
 
@@ -235,9 +235,11 @@ def estimate_abs_det(n: int, seed: int) -> DetEstimate:
     slice of ``DET_BLOCK`` matrices as the draw yields it
     (``distributions.z_slices``) and adds the exact sums of its |det|,
     det^2 and det^4 (the float squares), so no array of the chunk's
-    matrices or dets is built; of its parameters the chunk holds three
-    rows of normals, a s, b r and r s, because s is folded in as it is
-    drawn.  :func:`mean_variance` turns the sums into the estimates.
+    matrices or dets is built; the draw goes block by block too, so a
+    chunk of any length holds the parameters of one block.  Inside
+    a chunk the block lays out the stream, so a report depends on
+    ``DET_BLOCK`` as well as on ``DET_CHUNK``.  :func:`mean_variance`
+    turns the sums into the estimates.
     """
     if n < 1:
         raise ValueError("need n >= 1")

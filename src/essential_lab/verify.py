@@ -269,9 +269,8 @@ def verify_detB_identity(samples: int = 200, seed: int = 0) -> CheckReport:
     """|det B| = 4 |det Z| for every matrix Z of the determinant route's draw.
 
     Z is ``sample_z_matrices(rng_for(seed, 0), samples)``; its parameters
-    are drawn again in the order of :func:`distributions.z_slices`, s in
-    the same call as a, b and r: the pieces in which ``z_slices`` draws s
-    continue one stream, so they are the normals one call draws.  Then
+    are drawn again in the order of :func:`distributions.z_slices`, block
+    by block: each block's a, b, r, s in one call, then its thetas.  Then
     B_ij = u_i^T T_j v_i for the correspondence u = (a, r cos, r sin),
     v = (b, s cos, s sin) of column i and the tangent basis T.  Deviations
     are scaled by the Hadamard bound 4 prod_i |z_i|, which bounds the
@@ -281,8 +280,11 @@ def verify_detB_identity(samples: int = 200, seed: int = 0) -> CheckReport:
     """
     z = dists.sample_z_matrices(dists.rng_for(seed, 0), samples)
     rng = dists.rng_for(seed, 0)
-    a, b, r, s = rng.standard_normal((4, 5 * samples))
-    theta = 2.0 * math.pi * rng.random(5 * samples)
+    blocks = []
+    for lo in range(0, 5 * samples, dists._Z_SLICE):
+        k = min(dists._Z_SLICE, 5 * samples - lo)
+        blocks.append(np.vstack([rng.standard_normal((4, k)), 2.0 * math.pi * rng.random(k)]))
+    a, b, r, s, theta = np.hstack(blocks)
     cos, sin = np.cos(theta), np.sin(theta)
     u = np.stack([a, r * cos, r * sin], axis=1)
     v = np.stack([b, s * cos, s * sin], axis=1)

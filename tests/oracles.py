@@ -5,8 +5,9 @@ check: quadrature instead of scipy's ``ellipe``, quaternions instead of QR
 sampling, direct polynomial evaluation instead of coefficient assembly, the
 closed-form monomial integral over a simplex, a generic per-curve
 complex-step derivative instead of the stacked closed-form normal
-Jacobians, the quadric correspondences written out, z-vectors drawn in
-one piece with their formula written out instead of the sliced draw, and
+Jacobians, the quadric correspondences written out, z-vectors drawn
+block by block as plain rows with their formula written out instead of
+the sliced, folded draw, and
 exact float sums from integer ratios, with square roots found by exact
 squares, instead of per-exponent sums and an integer square root.
 """
@@ -190,16 +191,22 @@ def support_estimate(x, n: int, z_chunk) -> SupportEstimate:
     return SupportEstimate(float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)), n)
 
 
-def z_vectors_at_once(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n z-vectors (n, 5) drawn in one piece: 4n normals as rows a, b, r, s, then n thetas.
+def z_vectors_at_once(rng: np.random.Generator, n: int, block: int) -> np.ndarray:
+    """n z-vectors (n, 5) drawn in blocks of ``block``, each block's whole in one piece.
 
-    Each theta is a uniform draw in [0, 1) times 2 pi, and the z-vector is
+    A block of k z-vectors draws 4k normals as rows a, b, r, s, then k
+    thetas, each a uniform draw in [0, 1) times 2 pi; its z-vectors are
     (b r sin, b r cos, a s sin, a s cos, r s), products taken left to right.
     """
-    a, b, r, s = rng.standard_normal((4, n))
-    theta = rng.random(n) * (2.0 * np.pi)
-    sin, cos = np.sin(theta), np.cos(theta)
-    return np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=1)
+    parts = []
+    for lo in range(0, n, block):
+        k = min(block, n - lo)
+        a, b, r, s = rng.standard_normal((4, k))
+        theta = rng.random(k) * (2.0 * np.pi)
+        sin, cos = np.sin(theta), np.cos(theta)
+        parts.append(np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s],
+                              axis=1))
+    return np.concatenate(parts)
 
 
 def exact_float_sum(values) -> Fraction:
@@ -232,12 +239,13 @@ def sqrt_rounded(q: Fraction) -> float:
     return float(ties[0]) if ties else c
 
 
-def det_route_at_once(n: int, seed: int, chunk: int, rng_for, abs_det):
+def det_route_at_once(n: int, seed: int, chunk: int, block: int, rng_for, abs_det):
     """The determinant route with each chunk's matrices built as one stack.
 
     Chunk i holds ``min(chunk, n - i chunk)`` matrices from
     ``rng_for(seed, i)``; matrix k has z-vectors 5k..5k+4 of
-    :func:`z_vectors_at_once` as its columns.  Returns the means of |det|
+    :func:`z_vectors_at_once`, drawn in blocks of ``block`` matrices, as
+    its columns.  Returns the means of |det|
     and of det^2 (float squares, as is det^4 = (det^2)^2) and their
     standard errors.  Each sum is exact (:func:`exact_float_sum`), a
     variance is (sum of squares - n mean^2) / (n - 1) clamped at 0, and
@@ -245,7 +253,7 @@ def det_route_at_once(n: int, seed: int, chunk: int, rng_for, abs_det):
     """
     def chunk_dets(index, start):
         m = min(chunk, n - start)
-        z = z_vectors_at_once(rng_for(seed, index), 5 * m)
+        z = z_vectors_at_once(rng_for(seed, index), 5 * m, 5 * block)
         return abs_det(z.reshape(m, 5, 5).transpose(0, 2, 1))
 
     dets = np.concatenate([chunk_dets(i, start) for i, start in enumerate(range(0, n, chunk))])

@@ -174,15 +174,15 @@ class TestZVector:
         m = 2 * dist.DET_BLOCK + 3
         parts = [part.copy() for part in dist.z_slices(dist.rng_for(13, 3), 5 * m)]
         assert [len(part) for part in parts] == [5 * dist.DET_BLOCK] * 2 + [15]
-        whole = z_vectors_at_once(dist.rng_for(13, 3), 5 * m)
+        whole = z_vectors_at_once(dist.rng_for(13, 3), 5 * m, 5 * dist.DET_BLOCK)
         assert np.array_equal(np.concatenate(parts), whole)
         mats = dist.sample_z_matrices(dist.rng_for(13, 3), m)
         assert np.array_equal(dist.z_matrices(np.concatenate(parts)), mats)
         assert np.array_equal(mats[-1], whole[-5:].T)
-        # a count that is no multiple of five, and one whose last piece of s is one value
+        # a count that is no multiple of five, and one whose last block is one z-vector
         for n in (7, 5 * dist.DET_BLOCK + 1):
             assert np.array_equal(dist._z_batch(dist.rng_for(13, 4), n),
-                                  z_vectors_at_once(dist.rng_for(13, 4), n))
+                                  z_vectors_at_once(dist.rng_for(13, 4), n, 5 * dist.DET_BLOCK))
 
     def test_z_vectors_of_the_quadric_correspondences(self):
         rng = dist.rng_for(13, 1)
@@ -199,16 +199,11 @@ class TestZVector:
         assert np.max(np.abs(np.moveaxis(z, 0, -1) - expected)) <= 1e-12
 
     def test_in_place_map_in_slices(self, monkeypatch):
-        # slices and pieces of s of 7 entries, against the products written out
+        # slices and blocks of 7 z-vectors, against the products written out
         monkeypatch.setattr(dist, "_Z_SLICE", 7)
         n = 50
         z = np.concatenate([part.copy() for part in dist.z_slices(dist.rng_for(13, 2), n)])
-        rng = dist.rng_for(13, 2)
-        a, b, r, s = rng.standard_normal((4, n))
-        theta = rng.random(n) * (2.0 * np.pi)
-        sin, cos = np.sin(theta), np.cos(theta)
-        expected = np.stack([b * r * sin, b * r * cos, a * s * sin, a * s * cos, r * s], axis=-1)
-        assert np.array_equal(z, expected)
+        assert np.array_equal(z, z_vectors_at_once(dist.rng_for(13, 2), n, 7))
 
 
 class TestEssentialUniform:

@@ -215,33 +215,38 @@ class TestDetEstimator:
     def test_slices_give_the_bits_of_whole_chunks(self, n):
         est = mc.estimate_abs_det(n, seed=4)
         (mean, second), (se_mean, se_second) = det_route_at_once(
-            n, 4, mc.DET_CHUNK, dists.rng_for, mc.abs_det5)
+            n, 4, mc.DET_CHUNK, mc.DET_BLOCK, dists.rng_for, mc.abs_det5)
         got = est.to_dict()
         got.pop("wall_time")
         assert got == {"n": n, "seed": 4, "mean_abs_det": mean, "second_moment": second,
                        "derived_mean": mc.DET_TO_COUNT * mean, "se_mean": se_mean,
                        "se_second": se_second}
 
-    def test_slices_of_any_size_give_the_same_bits(self, monkeypatch):
-        # 12k matrices cross one slice boundary of 8192, or eleven of 1000
+    def test_the_block_lays_out_the_stream(self, monkeypatch):
+        # 12k matrices in one chunk: two blocks of 8192, or twelve of 1000, drawn block by block
         whole = mc.estimate_abs_det(12_000, seed=8).to_dict()
         monkeypatch.setattr(dists, "_Z_SLICE", 5 * 1000)
         sliced = mc.estimate_abs_det(12_000, seed=8).to_dict()
         whole.pop("wall_time")
         sliced.pop("wall_time")
-        assert sliced == whole
+        (mean, second), (se_mean, se_second) = det_route_at_once(
+            12_000, 8, mc.DET_CHUNK, 1000, dists.rng_for, mc.abs_det5)
+        assert sliced == {"n": 12_000, "seed": 8, "mean_abs_det": mean, "second_moment": second,
+                          "derived_mean": mc.DET_TO_COUNT * mean, "se_mean": se_mean,
+                          "se_second": se_second}
+        assert sliced != whole
 
     def test_a_chunk_builds_no_stack_of_its_matrices(self):
-        # the chunk's 3 x 1.25M normals are 28.6 MiB, a fourth row would add 9.5 MiB and its
-        # (250k, 5, 5) stack 48 MiB; the slice buffer and abs_det5's blocks take 4.3 MiB
-        # more, so 5 MiB leaves no room for an array of the chunk's 250k dets (1.9 MiB)
+        # a block's (4, 40960) parameters and (5, 40960) z-vectors take 2.8 MiB, and abs_det5's
+        # (5, 5, 8192) block and its ten minors 2.2 MiB more; one row of the chunk's 1.25M
+        # normals would add 9.5 MiB and its (250k, 5, 5) stack 48 MiB
         tracemalloc.start()
         try:
             mc.estimate_abs_det(250_000, 0)
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 1.25e6 * 8 / 2 ** 20 + 5
+        assert peak <= 8
 
 
 class TestCrossCheck:

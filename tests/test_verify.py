@@ -361,6 +361,14 @@ class TestDetBIdentity:
         assert report.expected == pytest.approx(4.0 * abs(np.linalg.det(z)), rel=1e-12)
 
 
+    def test_detB_matches_the_draw_past_one_block(self):
+        # the second block's parameters come after the first block's thetas
+        n = dists.DET_BLOCK + 1
+        report = vf.verify_detB_identity(samples=n, seed=9)
+        assert (report.passed, report.samples) == (True, n)
+        assert report.worst_deviation <= 1e-12
+
+
 class TestSuiteRunner:
     def test_all_suites_pass(self):
         report = vf.run_suite("all", seed=10)
